@@ -16,7 +16,7 @@ import json
 import logging
 import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  bench/tracing.py swaps this name
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -187,11 +187,7 @@ def evaluate(
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(order)
     work = [items[i] for i in order]
-    if client.max_parallel > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=client.max_parallel) as pool:
-            done = list(pool.map(predict, work))
-    else:
-        done = [predict(item) for item in work]
+    done = client.map(predict, work)
     predictions: list[Prediction] = [None] * len(items)  # type: ignore[list-item]
     for position, prediction in zip(order, done):
         predictions[position] = prediction

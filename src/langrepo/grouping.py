@@ -60,18 +60,11 @@ def split(p: int, dst_ratio: float) -> SplitResult:
 
     q = int(p * dst_ratio + 0.5)
     q = max(1, min(q, p - 1))
-    dst = sorted({int((j + 0.5) * p / q) for j in range(q)})
-    # Centered strides cannot collide for q < p, but refill defensively.
-    if len(dst) < q:
-        taken = set(dst)
-        for i in range(p):
-            if len(dst) >= q:
-                break
-            if i not in taken:
-                dst.append(i)
-                taken.add(i)
-        dst.sort()
-    src = [i for i in range(p) if i not in set(dst)]
+    # For q < p consecutive strides lie p / q > 1 apart, so the positions
+    # are distinct and ascending.
+    dst = [int((j + 0.5) * p / q) for j in range(q)]
+    taken = set(dst)
+    src = [i for i in range(p) if i not in taken]
     return SplitResult(dst_indices=tuple(dst), src_indices=tuple(src))
 
 

@@ -9,7 +9,6 @@ A caption file is one JSON document per video:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -181,14 +180,3 @@ def transform_rate(captions: CaptionSet, factor: float) -> CaptionSet:
             )
         )
     return CaptionSet(captions.video_id, captions.duration_s, doubled)
-
-
-def expected_size_after(p: int, factor: float) -> int:
-    """Caption count after transform_rate on a p-caption set."""
-    if factor == 0.5:
-        return math.ceil(p / 2)
-    if factor == 1.0:
-        return p
-    if factor == 2.0:
-        return 2 * p
-    raise UnsupportedFactor(f"factor must be one of {RATE_FACTORS}, got {factor}")

@@ -2,22 +2,29 @@
 
 One client fronts an OpenAI-compatible HTTP backend or a deterministic
 mock, adding retries, a content-addressed response cache, a per-purpose
-call ledger, and a parallelism bound. The cache persists to disk when a
+call ledger, a parallelism bound, and the one fan-out helper (map) that
+every concurrent caller goes through. The cache persists to disk when a
 directory is configured, which makes repository builds resumable and lets
 repeated runs issue zero new backend calls.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import json
 import logging
 import os
 import re
+import tempfile
 import threading
 import time
+from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TypeVar
 
 import requests
 
@@ -30,6 +37,9 @@ LLM_KEY_ENV = "LANGREPO_LLM_KEY"
 
 _NUMBERED_LINE = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
 _CONTEXT_OVERFLOW = re.compile(r"context|too (?:long|many tokens)|maximum.*length", re.I)
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -136,9 +146,17 @@ class ResponseCache:
         if self.directory:
             path = self._path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(value, ensure_ascii=False), encoding="utf-8")
-            os.replace(tmp, path)
+            # A temp name of its own per write: processes sharing the cache
+            # may write the same key at once, and each rename is atomic.
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as out:
+                    out.write(json.dumps(value, ensure_ascii=False))
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
 
 
 class MockBackend:
@@ -214,9 +232,9 @@ class HttpBackend:
 
     Generation POSTs {model, messages, temperature, max_tokens} to
     <base_url>/chat/completions. Scoring POSTs the concatenated text to
-    <base_url>/completions with echo and logprobs and sums the token
-    log-probabilities that fall inside the continuation. The API key is
-    read from LANGREPO_LLM_KEY.
+    <base_url>/completions with echo and logprobs and sums the
+    log-probabilities of the tokens whose span reaches into the
+    continuation. The API key is read from LANGREPO_LLM_KEY.
     """
 
     supports_scoring = True
@@ -317,10 +335,16 @@ class HttpBackend:
             offsets = lp["text_offset"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ScoringUnsupported(f"endpoint returned no echo logprobs: {exc}") from exc
+        # A token belongs to the continuation when its span ends past the
+        # prefix: BPE and SentencePiece tokenizers attach the prefix's
+        # trailing space to the next word, so that token starts before the
+        # boundary. A span ends where the next token starts, the last one at
+        # the end of the text.
         boundary = len(prefix)
+        ends = [*offsets[1:], len(prefix) + len(continuation)]
         total = 0.0
-        for logprob, offset in zip(token_logprobs, offsets):
-            if offset >= boundary and logprob is not None:
+        for logprob, end in zip(token_logprobs, ends):
+            if end > boundary and logprob is not None:
                 total += logprob
         return total
 
@@ -329,7 +353,9 @@ class LlmClient:
     """Caching, counting front-end over a backend.
 
     Identical requests are answered from the cache without touching the
-    backend; concurrent identical misses collapse into a single call.
+    backend. A cache hit takes no client lock; concurrent misses on one key
+    collapse into a single backend call, and misses on different keys never
+    wait for each other beyond the max_parallel bound on backend calls.
     """
 
     def __init__(
@@ -344,14 +370,65 @@ class LlmClient:
         self.ledger = ledger or CallLedger()
         self.max_parallel = max(1, max_parallel)
         self._sem = threading.BoundedSemaphore(self.max_parallel)
-        self._stripes = [threading.Lock() for _ in range(64)]
+        self._inflight_lock = threading.Lock()
+        self._inflight: dict[str, threading.Event] = {}
 
     @property
     def backend_id(self) -> str:
         return self.backend.backend_id
 
-    def _stripe(self, key: str) -> threading.Lock:
-        return self._stripes[int(key[:8], 16) % len(self._stripes)]
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        """fn over every item, up to max_parallel at once; results in input order.
+
+        Each call makes its own pool: calls nest (evaluate -> build or read
+        -> score), and one shared bounded pool would deadlock once outer
+        tasks held all its workers. Every task runs in a copy of the
+        caller's context, taken in the calling thread, so context variables
+        the caller set are seen by the backend calls fn makes.
+        """
+        items = list(items)
+        if self.max_parallel == 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=min(self.max_parallel, len(items))) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+            return [future.result() for future in futures]
+
+    def _cached(self, key: str, purpose: str, call: Callable[[], dict]) -> dict:
+        """The cached value under key, from one backend call on a miss.
+
+        The first miss on a key registers an Event and makes the call; other
+        misses on that key wait for the Event and read the cache again. If
+        the call raised, the cache is still empty and one of them calls
+        the backend itself.
+        """
+        while True:
+            value = self.cache.get(key)
+            if value is not None:
+                self.ledger.record_hit()
+                return value
+            with self._inflight_lock:
+                pending = self._inflight.get(key)
+                if pending is None:
+                    self._inflight[key] = owned = threading.Event()
+            if pending is not None:
+                pending.wait()
+                continue
+            try:
+                # The previous owner may have filled the cache and left
+                # between the read above and the registration.
+                value = self.cache.get(key)
+                if value is not None:
+                    self.ledger.record_hit()
+                    return value
+                with self._sem:
+                    value = call()
+                self.cache.put(key, value)
+                self.ledger.record_call(purpose)
+                return value
+            finally:
+                with self._inflight_lock:
+                    del self._inflight[key]
+                owned.set()
 
     def generate(self, req: GenerationRequest) -> str:
         prompt = self.backend.prepare_prompt(req.prompt)
@@ -367,16 +444,12 @@ class LlmClient:
                 "attempt": req.attempt,
             }
         )
-        with self._stripe(key):
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.ledger.record_hit()
-                return cached["text"]
-            with self._sem:
-                text = self.backend.complete(replace(req, prompt=prompt))
-            self.cache.put(key, {"text": text})
-            self.ledger.record_call(req.purpose_tag)
-            return text
+        value = self._cached(
+            key,
+            req.purpose_tag,
+            lambda: {"text": self.backend.complete(replace(req, prompt=prompt))},
+        )
+        return value["text"]
 
     def score(self, req: ScoreRequest) -> float:
         if not getattr(self.backend, "supports_scoring", False):
@@ -390,13 +463,7 @@ class LlmClient:
                 "continuation": req.continuation,
             }
         )
-        with self._stripe(key):
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.ledger.record_hit()
-                return float(cached["score"])
-            with self._sem:
-                score = float(self.backend.score(req.prefix, req.continuation))
-            self.cache.put(key, {"score": score})
-            self.ledger.record_call("qa")
-            return score
+        value = self._cached(
+            key, "qa", lambda: {"score": float(self.backend.score(req.prefix, req.continuation))}
+        )
+        return float(value["score"])

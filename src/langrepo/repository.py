@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  bench/tracing.py swaps this name
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -246,10 +246,7 @@ def re_chunk(entries: list[RepoEntry], m: int) -> list[Chunk]:
 def _write_scale(
     chunks: list[Chunk], cfg: BuildConfig, embedder: Embedder, client: LlmClient, scale: int
 ) -> list[RepoEntry]:
-    if client.max_parallel > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=client.max_parallel) as pool:
-            return list(pool.map(lambda ch: write_to_repo(ch, cfg, embedder, client, scale), chunks))
-    return [write_to_repo(ch, cfg, embedder, client, scale) for ch in chunks]
+    return client.map(lambda ch: write_to_repo(ch, cfg, embedder, client, scale), chunks)
 
 
 def build(
@@ -335,10 +332,7 @@ def read_from_repo(
             )
         )
 
-    if client.max_parallel > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=client.max_parallel) as pool:
-            return list(pool.map(summarize, jobs))
-    return [summarize(entry) for entry in jobs]
+    return client.map(summarize, jobs)
 
 
 def to_canonical_json(repo: Repository) -> str:

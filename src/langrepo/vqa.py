@@ -115,18 +115,18 @@ def answer_loglik(
 ) -> Prediction:
     """Score every option's continuation and take the argmax.
 
-    Ties resolve to the lowest option index. The default score is the raw
-    joint log-probability; length_normalize divides it by the continuation
-    length to discount long options.
+    The options are scored concurrently through client.map, one score
+    request each. Ties resolve to the lowest option index. The default
+    score is the raw joint log-probability; length_normalize divides it by
+    the continuation length to discount long options.
     """
     qa = _qa_input(descriptions, item, duration_s=0.0)
-    scores = []
-    for index in range(len(item.options)):
-        prefix, continuation = render_qa_loglik(qa, index, format)
-        score = client.score(ScoreRequest(prefix=prefix, continuation=continuation))
-        if length_normalize:
-            score /= max(1, len(continuation))
-        scores.append(score)
+    requests = [
+        ScoreRequest(*render_qa_loglik(qa, index, format)) for index in range(len(item.options))
+    ]
+    scores = client.map(client.score, requests)
+    if length_normalize:
+        scores = [s / max(1, len(r.continuation)) for s, r in zip(scores, requests)]
     choice = max(range(len(scores)), key=lambda i: (scores[i], -i))
     return Prediction(
         question_id=item.question_id,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langrepo.errors import ShapeMismatch
@@ -35,6 +35,14 @@ class TestSplit:
             assert 1 <= len(dst) <= p - 1
         assert list(result.dst_indices) == sorted(dst)
         assert list(result.src_indices) == sorted(src)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(2, 10_000), ratio=st.floats(0.001, 0.999))
+    def test_destinations_are_the_q_centered_strides(self, p, ratio):
+        q = max(1, min(int(p * ratio + 0.5), p - 1))
+        result = split(p, ratio)
+        assert len(result.dst_indices) == q
+        assert result.dst_indices == tuple(int((j + 0.5) * p / q) for j in range(q))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

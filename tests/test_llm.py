@@ -1,4 +1,7 @@
+import contextvars
 import json
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -97,6 +100,14 @@ class TestCacheAndLedger:
         assert len(set(results)) == 1
         assert client.ledger.snapshot()["qa"] == 1
         assert client.ledger.snapshot()["cache_hits"] == 15
+
+    def test_put_does_not_write_through_a_shared_temp_name(self, tmp_path):
+        key = ResponseCache.key_for({"a": 1})
+        # What a concurrent writer of the same key could leave behind.
+        (tmp_path / key[:2] / f"{key}.tmp").mkdir(parents=True)
+        ResponseCache(tmp_path).put(key, {"text": "x"})
+        assert ResponseCache(tmp_path).get(key) == {"text": "x"}
+        assert sorted(p.name for p in (tmp_path / key[:2]).iterdir()) == [f"{key}.json", f"{key}.tmp"]
 
     def test_cache_key_stable(self):
         key1 = ResponseCache.key_for({"a": 1, "b": "x"})
@@ -209,10 +220,163 @@ class TestHttpBackend:
         assert body["prompt"] == "abcabcdefdef"
         assert body["echo"] is True and body["max_tokens"] == 0
 
+    def test_score_counts_token_that_carries_the_leading_space(self):
+        # "... Question cooking" tokenized as "...", " Question", " cook", "ing":
+        # the prefix's trailing space starts " cook", one char before the boundary.
+        payload = {
+            "choices": [
+                {
+                    "logprobs": {
+                        "token_logprobs": [None, -1.0, -2.0, -0.5],
+                        "text_offset": [0, 3, 12, 17],
+                    }
+                }
+            ]
+        }
+        backend = http_backend([_FakeResponse(200, payload)])
+        assert backend.score("... Question ", "cooking") == -2.5
+
     def test_score_without_logprobs_unsupported(self):
         backend = http_backend([_FakeResponse(200, {"choices": [{"text": "x"}]})])
         with pytest.raises(ScoringUnsupported):
             backend.score("a", "b")
+
+
+REQUEST_ID = contextvars.ContextVar("request_id", default=None)
+
+
+class RecordingCache(ResponseCache):
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+
+    def put(self, key, value):
+        self.keys.append(key)
+        super().put(key, value)
+
+
+def stripe_sharing_pair():
+    """Two score requests whose cache keys agree modulo 64 in their first
+    eight hex digits: one lock of a 64-way lock stripe would cover both."""
+    probe = LlmClient(MockBackend(), max_parallel=1)
+    probe.cache = RecordingCache()
+    by_stripe = {}
+    for i in range(65):
+        request = ScoreRequest("prefix ", f"option {i}")
+        probe.score(request)
+        stripe = int(probe.cache.keys[-1][:8], 16) % 64
+        if stripe in by_stripe:
+            return by_stripe[stripe], request
+        by_stripe[stripe] = request
+    raise AssertionError("65 keys over 64 stripes must collide")
+
+
+class GatedBackend(MockBackend):
+    """Holds one continuation's score until released; counts calls."""
+
+    def __init__(self, gated):
+        super().__init__()
+        self.gated = gated
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def score(self, prefix, continuation):
+        if continuation == self.gated:
+            self.entered.set()
+            self.release.wait(10)
+        return super().score(prefix, continuation)
+
+
+class FailFirstBackend(MockBackend):
+    """The first completion waits to be released, then raises."""
+
+    def __init__(self):
+        super().__init__()
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def complete(self, req):
+        with self.lock:
+            self.calls += 1
+            first = self.calls == 1
+        if first:
+            self.entered.set()
+            self.release.wait(10)
+            raise BackendUnavailable("first call fails")
+        return "fresh"
+
+
+class ContextRecordingBackend(MockBackend):
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def complete(self, req):
+        self.seen.append(REQUEST_ID.get())
+        return super().complete(req)
+
+
+class TestConcurrency:
+    def test_cache_hit_not_blocked_by_unrelated_slow_miss(self):
+        hit_request, slow_request = stripe_sharing_pair()
+        backend = GatedBackend(slow_request.continuation)
+        client = LlmClient(backend, max_parallel=4)
+        client.score(hit_request)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            slow = pool.submit(client.score, slow_request)
+            assert backend.entered.wait(5)
+            hit = pool.submit(client.score, hit_request)
+            try:
+                assert hit.result(timeout=2) == -len(hit_request.continuation) / 10
+            finally:
+                backend.release.set()
+            assert slow.result(timeout=5) == -len(slow_request.continuation) / 10
+        assert client.ledger.snapshot()["qa"] == 2
+
+    def test_waiters_retry_when_the_owner_raises(self):
+        backend = FailFirstBackend()
+        client = LlmClient(backend, max_parallel=8)
+        with ThreadPoolExecutor(max_workers=5) as pool:
+            owner = pool.submit(client.generate, req("P"))
+            assert backend.entered.wait(5)
+            waiters = [pool.submit(client.generate, req("P")) for _ in range(4)]
+            time.sleep(0.1)
+            backend.release.set()
+            with pytest.raises(BackendUnavailable):
+                owner.result(timeout=5)
+            assert [w.result(timeout=5) for w in waiters] == ["fresh"] * 4
+        assert backend.calls == 2
+        assert client.ledger.snapshot() == {"rephrase": 0, "summarize": 0, "qa": 1, "cache_hits": 3}
+
+    def test_map_keeps_input_order(self):
+        client = LlmClient(MockBackend(), max_parallel=4)
+
+        def slow_first(i):
+            time.sleep(0.01 * (8 - i))
+            return i
+
+        assert client.map(slow_first, range(8)) == list(range(8))
+
+    def test_map_runs_inline_when_serial(self):
+        client = LlmClient(MockBackend(), max_parallel=1)
+        assert client.map(lambda _: threading.get_ident(), range(3)) == [threading.get_ident()] * 3
+
+    def test_map_carries_caller_context_into_nested_backend_calls(self):
+        backend = ContextRecordingBackend()
+        client = LlmClient(backend, max_parallel=3)
+
+        def outer(i):
+            return client.map(lambda j: client.generate(req(f"{i}-{j}")), range(3))
+
+        token = REQUEST_ID.set("question-1")
+        try:
+            results = client.map(outer, range(3))
+        finally:
+            REQUEST_ID.reset(token)
+        assert [len(r) for r in results] == [3, 3, 3]
+        assert backend.seen == ["question-1"] * 9
 
 
 def test_client_rejects_scoring_incapable_backend():

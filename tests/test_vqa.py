@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +33,28 @@ class IndexScoreBackend(MockBackend):
             if option in continuation:
                 return self.vector[i] + self.shift
         raise AssertionError(f"unexpected continuation {continuation!r}")
+
+
+class BarrierBackend(MockBackend):
+    """Each score waits until `parties` scores are in flight together."""
+
+    def __init__(self, parties):
+        super().__init__()
+        self.barrier = threading.Barrier(parties, timeout=5)
+        self.lock = threading.Lock()
+        self.inflight = 0
+        self.peak = 0
+
+    def score(self, prefix, continuation):
+        with self.lock:
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        try:
+            self.barrier.wait()
+        finally:
+            with self.lock:
+                self.inflight -= 1
+        return super().score(prefix, continuation)
 
 
 class TestAnswerGenerative:
@@ -82,6 +106,17 @@ class TestAnswerLoglik:
         prediction = answer_loglik(["desc"], item(), "plain", LlmClient(backend))
         assert prediction.choice_index == 1
         assert prediction.per_option_scores == [-5, -2, -7, -9, -3]
+
+    @pytest.mark.parametrize("n_options, max_parallel", [(5, 8), (6, 3), (4, 4)])
+    def test_options_scored_concurrently(self, n_options, max_parallel):
+        parties = min(n_options, max_parallel)
+        backend = BarrierBackend(parties)
+        options = [f"option{'s' * i}" for i in range(n_options)]
+        client = LlmClient(backend, max_parallel=max_parallel)
+        prediction = answer_loglik(["desc"], item(options=options), "plain", client)
+        assert backend.peak == parties
+        assert prediction.per_option_scores == [-len(o) / 10 for o in options]
+        assert prediction.choice_index == 0
 
     def test_tie_takes_lowest_index(self):
         backend = IndexScoreBackend([-2, -2, -9, -9, -9])
