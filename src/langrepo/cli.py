@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--cache-dir", default=None, help="override the config's LLM cache directory")
     p.add_argument("--captioner", default="unknown", help="provenance tag for the caption source")
-    p.add_argument("--seed", type=int, default=0, help="reserved; the default pipeline is deterministic")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("answer", help="answer one question against a saved repository")

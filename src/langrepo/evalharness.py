@@ -2,7 +2,8 @@
 
 Three modes:
 
-* ``langrepo``: build the repository once per video, read it, classify.
+* ``langrepo``: build the repository and read it once per video (the read
+  runs per question when question_conditioning is on), then classify.
 * ``llovi-whole``: one question-conditioned summary over all captions.
 * ``llovi-chunked``: question-conditioned summary per chunk, no pruning.
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import logging
 import random
-import threading
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  bench/tracing.py swaps this name
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,25 +98,15 @@ def _summarize_texts(texts: list[str], question: str, client: LlmClient) -> str:
     )
 
 
-class _RepoPool:
-    """Per-video repositories, each built exactly once even across threads."""
-
-    def __init__(self, cfg: BuildConfig, providers: Providers):
-        self.cfg = cfg
-        self.providers = providers
-        self._repos: dict[str, Repository] = {}
-        self._locks: dict[str, threading.Lock] = {}
-        self._master = threading.Lock()
-
-    def get(self, captions: CaptionSet) -> Repository:
-        with self._master:
-            lock = self._locks.setdefault(captions.video_id, threading.Lock())
-        with lock:
-            if captions.video_id not in self._repos:
-                self._repos[captions.video_id] = build(
-                    captions, self.cfg, self.providers.embedder, self.providers.client
-                )
-            return self._repos[captions.video_id]
+def prepare_video(
+    captions: CaptionSet, cfg: BuildConfig, providers: Providers
+) -> tuple[Repository, list[str] | None]:
+    """The question-independent work on one video: its repository and, when
+    reads are not conditioned on the question, the read every question shares."""
+    repo = build(captions, cfg, providers.embedder, providers.client)
+    if cfg.question_conditioning:
+        return repo, None
+    return repo, read_from_repo(repo, cfg, None, providers.client)
 
 
 def descriptions_for(
@@ -125,13 +115,18 @@ def descriptions_for(
     cfg: BuildConfig,
     mode: str,
     providers: Providers,
-    repo_pool: _RepoPool | None = None,
+    prepared: tuple[Repository, list[str] | None] | None = None,
 ) -> list[str]:
-    """The description texts a classifier sees for one item under a mode."""
+    """The description texts a classifier sees for one item under a mode.
+
+    In langrepo mode, prepared is prepare_video's result for the item's
+    video; without it the video is prepared here.
+    """
     client = providers.client
     if mode == "langrepo":
-        pool = repo_pool or _RepoPool(cfg, providers)
-        repo = pool.get(captions)
+        repo, shared_read = prepared or prepare_video(captions, cfg, providers)
+        if shared_read is not None:
+            return shared_read
         return read_from_repo(repo, cfg, item.question, client)
     texts = [c.text for c in captions.captions]
     if mode == "llovi-whole":
@@ -174,19 +169,28 @@ def evaluate(
 
     client = providers.client
     before = client.ledger.snapshot()
-    repo_pool = _RepoPool(cfg, providers)
-
-    def predict(item: QaItem) -> Prediction:
-        captions = captions_by_video[item.video_id]
-        descriptions = descriptions_for(item, captions, cfg, mode, providers, repo_pool)
-        if classifier == "generative":
-            return answer_generative(descriptions, item, captions.duration_s, client)
-        return answer_loglik(descriptions, item, loglik_format, client)
-
     order = list(range(len(items)))
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(order)
     work = [items[i] for i in order]
+
+    # Every video is prepared once, before any of its questions: its
+    # questions then wait on nothing but their own reads and scores.
+    prepared = {}
+    if mode == "langrepo":
+        videos = list(dict.fromkeys(item.video_id for item in work))
+        ready = client.map(lambda vid: prepare_video(captions_by_video[vid], cfg, providers), videos)
+        prepared = dict(zip(videos, ready))
+
+    def predict(item: QaItem) -> Prediction:
+        captions = captions_by_video[item.video_id]
+        descriptions = descriptions_for(
+            item, captions, cfg, mode, providers, prepared.get(item.video_id)
+        )
+        if classifier == "generative":
+            return answer_generative(descriptions, item, captions.duration_s, client)
+        return answer_loglik(descriptions, item, loglik_format, client)
+
     done = client.map(predict, work)
     predictions: list[Prediction] = [None] * len(items)  # type: ignore[list-item]
     for position, prediction in zip(order, done):

@@ -29,13 +29,13 @@ from typing import TypeVar
 import requests
 
 from .errors import BackendUnavailable, ContextOverflow, ScoringUnsupported
+from .prompts import GROUP_MEMBER_SEPARATOR, ITEM_LINE
 
 logger = logging.getLogger(__name__)
 
 PURPOSES = ("rephrase", "summarize", "qa")
 LLM_KEY_ENV = "LANGREPO_LLM_KEY"
 
-_NUMBERED_LINE = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
 _CONTEXT_OVERFLOW = re.compile(r"context|too (?:long|many tokens)|maximum.*length", re.I)
 
 T = TypeVar("T")
@@ -207,9 +207,9 @@ class MockBackend:
     def _default_rephrase(prompt: str) -> str:
         firsts = []
         for line in prompt.splitlines():
-            m = _NUMBERED_LINE.match(line)
+            m = ITEM_LINE.match(line)
             if m:
-                firsts.append(m.group(2).split(" | ")[0].strip())
+                firsts.append(m.group(2).split(GROUP_MEMBER_SEPARATOR)[0].strip())
         if not firsts:
             firsts = ["nothing to rephrase"]
         return "\n".join(f"{i + 1}. {text}" for i, text in enumerate(firsts))

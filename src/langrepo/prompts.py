@@ -40,7 +40,7 @@ _STRUCTURED_QUESTION = Template(
 )
 _STRUCTURED_LEAD_IN = " The correct answer is, "
 
-_ITEM_LINE = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
+ITEM_LINE = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
 _VERSION_LINE = re.compile(r"#\s*template:\s*(\S+)\s+(\S+)")
 
 
@@ -113,7 +113,7 @@ def parse_rephrase_output(text: str, expected_n: int) -> list[str]:
     for line in text.splitlines():
         if not line.strip():
             continue
-        m = _ITEM_LINE.match(line)
+        m = ITEM_LINE.match(line)
         if not m:
             raise FormatError(f"line is not a numbered item: {line[:80]!r}")
         items.append((int(m.group(1)), m.group(2).strip()))

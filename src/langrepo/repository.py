@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  bench/tracing.py swaps this name
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import grouping
@@ -109,16 +109,7 @@ class BuildConfig:
             raise ConfigError("rephrase_retries must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "chunk_schedule": list(self.chunk_schedule),
-            "grouping_ratio": self.grouping_ratio,
-            "dst_ratio": self.dst_ratio,
-            "read_scales": self.read_scales,
-            "include_timestamps": self.include_timestamps,
-            "include_occurrences": self.include_occurrences,
-            "question_conditioning": self.question_conditioning,
-            "rephrase_retries": self.rephrase_retries,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BuildConfig":

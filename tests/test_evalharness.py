@@ -1,9 +1,13 @@
 import json
+import threading
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from langrepo import evalharness
 from langrepo.embed import Embedder, EmbeddingProviderConfig
-from langrepo.errors import MalformedFile, MissingCaptions
+from langrepo.errors import BackendUnavailable, MalformedFile, MissingCaptions
 from langrepo.evalharness import (
     Providers,
     descriptions_for,
@@ -15,8 +19,9 @@ from langrepo.evalharness import (
     write_predictions,
     write_report,
 )
+from langrepo.ingest import CaptionSet
 from langrepo.llm import LlmClient, MockBackend
-from langrepo.repository import BuildConfig
+from langrepo.repository import BuildConfig, build, read_from_repo
 from langrepo.vqa import QaItem
 
 from conftest import make_caption_set
@@ -183,6 +188,130 @@ class TestEvaluate:
         assert [p.choice_index for p in shuffled.predictions] == [
             p.choice_index for p in base.predictions
         ]
+
+
+class CountingClient(LlmClient):
+    """LlmClient that keeps every summarize prompt it is asked for, cache
+    hits included, and counts generate requests per purpose."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lock = threading.Lock()
+        self.requests = Counter()
+        self.summarize_prompts = []
+
+    def generate(self, req):
+        with self._lock:
+            self.requests[req.purpose_tag] += 1
+            if req.purpose_tag == "summarize":
+                self.summarize_prompts.append(req.prompt)
+        return super().generate(req)
+
+
+class FailingRephrase(MockBackend):
+    """Mock whose rephrase calls fail for captions that mention a marker."""
+
+    def __init__(self, marker):
+        super().__init__()
+        self.marker = marker
+
+    def complete(self, req):
+        if req.purpose_tag == "rephrase" and self.marker in req.prompt:
+            raise BackendUnavailable("endpoint down")
+        return super().complete(req)
+
+
+def marked_caption_set(n, video_id, marker):
+    plain = make_caption_set(n, video_id)
+    return CaptionSet(
+        video_id, plain.duration_s, [replace(c, text=f"{marker} {c.text}") for c in plain.captions]
+    )
+
+
+class TestPreparePerVideo:
+    """The build, and the read when it ignores the question, run once per
+    video ahead of its questions; every question still sees its own read."""
+
+    cfg = BuildConfig(chunk_schedule=[3, 2])
+    entries = 5  # one summary per entry: 3 + 2
+
+    def questions(self, n, video_id="vid"):
+        return [
+            QaItem(f"{video_id}-q{i}", video_id, f"what happens in {video_id} part {i}?", ["a", "bb"], 0)
+            for i in range(n)
+        ]
+
+    def counting(self, max_parallel=4):
+        return Providers(
+            client=CountingClient(MockBackend(), max_parallel=max_parallel),
+            embedder=Embedder(EmbeddingProviderConfig(kind="hashed", dimension=16)),
+        )
+
+    def test_unconditioned_read_is_requested_once_per_entry(self):
+        prov = self.counting()
+        evaluate(self.questions(4), {"vid": make_caption_set(12)}, self.cfg, "langrepo", prov)
+        assert prov.client.requests["summarize"] == self.entries
+
+    def test_conditioned_read_is_requested_per_entry_per_question(self):
+        cfg = replace(self.cfg, question_conditioning=True)
+        items = self.questions(4)
+        prov = self.counting()
+        evaluate(items, {"vid": make_caption_set(12)}, cfg, "langrepo", prov)
+        assert prov.client.requests["summarize"] == self.entries * len(items)
+        for item in items:
+            holding = [p for p in prov.client.summarize_prompts if item.question in p]
+            assert len(holding) == self.entries
+
+    @pytest.mark.parametrize("conditioned", [False, True])
+    @pytest.mark.parametrize("max_parallel", [1, 8])
+    def test_each_question_reads_what_an_independent_read_gives(
+        self, monkeypatch, conditioned, max_parallel
+    ):
+        cfg = replace(self.cfg, question_conditioning=conditioned)
+        captions = {"vid": make_caption_set(12), "other": make_caption_set(15, "other")}
+        items = [x for pair in zip(self.questions(3), self.questions(3, "other")) for x in pair]
+        seen = {}
+        original = evalharness.descriptions_for
+
+        def recording(item, *args, **kwargs):
+            seen[item.question_id] = original(item, *args, **kwargs)
+            return seen[item.question_id]
+
+        monkeypatch.setattr(evalharness, "descriptions_for", recording)
+        prov = self.counting(max_parallel)
+        evaluate(items, captions, cfg, "langrepo", prov, shuffle_seed=7)
+        reads = len(items) if conditioned else len(captions)
+        assert prov.client.requests["summarize"] == self.entries * reads
+        for item in items:
+            alone = self.counting(1)
+            repo = build(captions[item.video_id], cfg, alone.embedder, alone.client)
+            assert seen[item.question_id] == read_from_repo(repo, cfg, item.question, alone.client)
+
+    @pytest.mark.parametrize("max_parallel", [1, 4])
+    def test_failed_build_raises_without_hanging(self, max_parallel):
+        captions = {
+            "vid": make_caption_set(12),
+            "bad": marked_caption_set(12, "bad", "unreachable"),
+            "other": make_caption_set(15, "other"),
+        }
+        items = self.questions(2) + self.questions(2, "bad") + self.questions(2, "other")
+        prov = Providers(
+            client=LlmClient(FailingRephrase("unreachable"), max_parallel=max_parallel),
+            embedder=Embedder(EmbeddingProviderConfig(kind="hashed", dimension=16)),
+        )
+        raised = []
+
+        def run():
+            try:
+                evaluate(items, captions, self.cfg, "langrepo", prov)
+            except BackendUnavailable as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "evaluate hung after a failed build"
+        assert len(raised) == 1
 
 
 class TestLengthAblation:
