@@ -21,13 +21,13 @@ LANGREPO_EMBED_KEY. The config is validated before any network call.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .embed import Embedder, EmbeddingProviderConfig
-from .errors import ConfigError
+from .errors import ConfigError, MalformedFile
 from .evalharness import Providers
+from .ingest import read_json_object
 from .llm import CallLedger, HttpBackend, LlmClient, MockBackend
 from .prompts import LOGLIK_FORMATS
 from .repository import BuildConfig
@@ -93,15 +93,10 @@ def _pick(cls, raw: dict, context: str):
 
 
 def load_app_config(path: str | Path) -> AppConfig:
-    path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path}: top level must be an object")
+        raw = read_json_object(Path(path))
+    except MalformedFile as exc:
+        raise ConfigError(f"bad config: {exc}") from exc
     known_top = {"llm", "embed", "build", "cache_dir", "parallelism", "classifier", "loglik_format"}
     unknown = set(raw) - known_top
     if unknown:

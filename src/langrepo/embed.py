@@ -13,25 +13,18 @@ Three provider kinds:
 from __future__ import annotations
 
 import hashlib
-import json
-import logging
-import os
-import time
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import requests
 
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    MalformedFile,
-    MissingEmbedding,
-    ProviderUnavailable,
-)
+from .errors import ConfigError, DimensionMismatch, MissingEmbedding, ProviderUnavailable
+from .ingest import read_json_object
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .transport import Session
 
 PROVIDER_KINDS = ("precomputed-file", "http-endpoint", "hashed")
 EMBED_KEY_ENV = "LANGREPO_EMBED_KEY"
@@ -66,15 +59,7 @@ class PrecomputedFileProvider:
 
     def __init__(self, cfg: EmbeddingProviderConfig):
         self.cfg = cfg
-        path = Path(cfg.location)
-        try:
-            table = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise MalformedFile(f"cannot read embedding file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(table, dict):
-            raise MalformedFile(f"{path}: expected an object mapping text to vector")
+        table = read_json_object(Path(cfg.location), "expected an object mapping text to vector")
         self._table = {k: np.asarray(v, dtype=np.float64) for k, v in table.items()}
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
@@ -88,17 +73,11 @@ class PrecomputedFileProvider:
 
 
 class HttpEmbeddingProvider:
-    def __init__(self, cfg: EmbeddingProviderConfig, session: requests.Session | None = None):
-        self.cfg = cfg
-        self.session = session or requests.Session()
+    def __init__(self, cfg: EmbeddingProviderConfig, session: Session | None = None):
+        from . import transport
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(EMBED_KEY_ENV, "")
-        if key:
-            value = f"Bearer {key}" if self.cfg.auth_header == "Authorization" else key
-            headers[self.cfg.auth_header] = value
-        return headers
+        self.cfg = cfg
+        self.session = session or transport.new_session()
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         out = []
@@ -107,32 +86,20 @@ class HttpEmbeddingProvider:
         return np.asarray(out, dtype=np.float64)
 
     def _post(self, batch: list[str]) -> list[list[float]]:
-        last_error: Exception | None = None
-        for attempt in range(self.cfg.max_retries + 1):
-            if attempt:
-                logger.warning("embedding endpoint retry %d after: %s", attempt, last_error)
-                time.sleep(self.cfg.backoff_s * 2 ** (attempt - 1))
-            try:
-                resp = self.session.post(
-                    self.cfg.location,
-                    json={"texts": batch},
-                    headers=self._headers(),
-                    timeout=self.cfg.timeout_s,
-                )
-                if resp.status_code >= 500:
-                    last_error = ProviderUnavailable(f"HTTP {resp.status_code}")
-                    continue
-                if resp.status_code != 200:
-                    raise ProviderUnavailable(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                vectors = resp.json()["vectors"]
-                if len(vectors) != len(batch):
-                    raise ProviderUnavailable(
-                        f"endpoint returned {len(vectors)} vectors for {len(batch)} texts"
-                    )
-                return vectors
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last_error = exc
-        raise ProviderUnavailable(f"embedding endpoint failed after retries: {last_error}")
+        from . import transport
+
+        try:
+            vectors = transport.post_json(
+                self.session, self.cfg.location, {"texts": batch},
+                key_env=EMBED_KEY_ENV, auth_header=self.cfg.auth_header, timeout_s=self.cfg.timeout_s,
+                max_retries=self.cfg.max_retries, backoff_s=self.cfg.backoff_s,
+                label="embedding endpoint", unavailable=ProviderUnavailable, decode=itemgetter("vectors"),
+            )
+        except transport.HttpStatusError as exc:
+            raise ProviderUnavailable(str(exc)) from exc
+        if len(vectors) != len(batch):
+            raise ProviderUnavailable(f"endpoint returned {len(vectors)} vectors for {len(batch)} texts")
+        return vectors
 
 
 class HashedEmbeddingProvider:
@@ -150,7 +117,7 @@ class HashedEmbeddingProvider:
         return rng.standard_normal(self.cfg.dimension)
 
 
-def build_provider(cfg: EmbeddingProviderConfig, session: requests.Session | None = None):
+def build_provider(cfg: EmbeddingProviderConfig, session: Session | None = None):
     if cfg.kind == "precomputed-file":
         return PrecomputedFileProvider(cfg)
     if cfg.kind == "http-endpoint":
@@ -185,7 +152,7 @@ def embed_texts(texts: list[str], provider, cfg: EmbeddingProviderConfig) -> np.
 class Embedder:
     """Config plus provider, bundled for callers that just want vectors."""
 
-    def __init__(self, cfg: EmbeddingProviderConfig, session: requests.Session | None = None):
+    def __init__(self, cfg: EmbeddingProviderConfig, session: Session | None = None):
         self.cfg = cfg
         self.provider = build_provider(cfg, session=session)
 

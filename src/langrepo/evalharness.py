@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .embed import Embedder
 from .errors import MalformedFile, MissingCaptions, OptionCountError
-from .ingest import RATE_FACTORS, CaptionSet, chunk_captions, transform_rate
+from .ingest import RATE_FACTORS, CaptionSet, chunk_captions, read_json_object, transform_rate
 from .llm import GenerationRequest, LlmClient
 from .prompts import render_summarize
 from .repository import SUMMARIZE_MAX_TOKENS, BuildConfig, Repository, build, read_from_repo
@@ -56,14 +56,10 @@ def load_qa_dataset(path: str | Path) -> list[QaItem]:
     """Load the neutral QA schema: {"items": [{question_id, video_id,
     question, options, answer_index?, split_tag?}, ...]}."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or not isinstance(raw.get("items"), list):
-        raise MalformedFile(f"{path}: expected an object with an 'items' array")
+    shape = "expected an object with an 'items' array"
+    raw = read_json_object(path, shape)
+    if not isinstance(raw.get("items"), list):
+        raise MalformedFile(f"{path}: {shape}")
     items = []
     for i, entry in enumerate(raw["items"]):
         try:

@@ -17,6 +17,20 @@ from .errors import EmptyInput, MalformedFile, UnsupportedFactor
 RATE_FACTORS = (0.5, 1.0, 2.0)
 
 
+def read_json_object(path: Path, shape: str = "top level must be an object") -> dict:
+    """Parse the JSON object in path. MalformedFile if the file cannot be read
+    or parsed, or (its message ending in shape) if it holds no object."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise MalformedFile(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise MalformedFile(f"{path}: {shape}")
+    return raw
+
+
 @dataclass(frozen=True)
 class Caption:
     """One timestamped text unit from a captioner; the atomic input."""
@@ -80,15 +94,7 @@ def load_captions(path: str | Path) -> CaptionSet:
     the file holds zero captions.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise MalformedFile(f"{path}: top level must be an object")
-
+    raw = read_json_object(path)
     try:
         video_id = raw["video_id"]
         duration_s = float(raw["duration_s"])

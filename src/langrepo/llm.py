@@ -14,24 +14,21 @@ import contextlib
 import contextvars
 import hashlib
 import json
-import logging
 import os
 import re
 import tempfile
 import threading
-import time
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TypeVar
-
-import requests
+from typing import TYPE_CHECKING, TypeVar
 
 from .errors import BackendUnavailable, ContextOverflow, ScoringUnsupported
 from .prompts import GROUP_MEMBER_SEPARATOR, ITEM_LINE
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .transport import Session
 
 PURPOSES = ("rephrase", "summarize", "qa")
 LLM_KEY_ENV = "LANGREPO_LLM_KEY"
@@ -106,7 +103,9 @@ class CallLedger:
 
 
 class ResponseCache:
-    """In-memory map with an optional content-addressed disk mirror."""
+    """Replies by content-addressed key: in memory, or only on disk when a
+    directory is given, so that a disk-backed cache does not grow in memory
+    and several processes can share one directory."""
 
     def __init__(self, directory: str | Path | None = None):
         self._lock = threading.Lock()
@@ -125,25 +124,19 @@ class ResponseCache:
         return self.directory / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
-        with self._lock:
-            if key in self._mem:
-                return self._mem[key]
-        if self.directory:
-            path = self._path(key)
-            if path.exists():
-                try:
-                    value = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, json.JSONDecodeError):
-                    return None
-                with self._lock:
-                    self._mem[key] = value
-                return value
-        return None
+        if self.directory is None:
+            with self._lock:
+                return self._mem.get(key)
+        try:
+            return json.loads(self._path(key).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError):
+            return None
 
     def put(self, key: str, value: dict) -> None:
-        with self._lock:
-            self._mem[key] = value
-        if self.directory:
+        if self.directory is None:
+            with self._lock:
+                self._mem[key] = value
+        else:
             path = self._path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
             # A temp name of its own per write: processes sharing the cache
@@ -248,8 +241,10 @@ class HttpBackend:
         timeout_s: float = 120.0,
         wrap_instructions: bool = True,
         auth_header: str = "Authorization",
-        session: requests.Session | None = None,
+        session: Session | None = None,
     ):
+        from . import transport
+
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.max_retries = max_retries
@@ -257,16 +252,8 @@ class HttpBackend:
         self.timeout_s = timeout_s
         self.wrap_instructions = wrap_instructions
         self.auth_header = auth_header
-        self.session = session or requests.Session()
+        self.session = session or transport.new_session()
         self.backend_id = f"http:{self.base_url}"
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(LLM_KEY_ENV, "")
-        if key:
-            value = f"Bearer {key}" if self.auth_header == "Authorization" else key
-            headers[self.auth_header] = value
-        return headers
 
     def prepare_prompt(self, prompt: str) -> str:
         if self.wrap_instructions and not prompt.startswith("[INST]"):
@@ -274,35 +261,19 @@ class HttpBackend:
         return prompt
 
     def _post(self, path: str, body: dict) -> dict:
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                logger.warning("llm backend retry %d after: %s", attempt, last_error)
-                time.sleep(self.backoff_s * 2 ** (attempt - 1))
-            try:
-                resp = self.session.post(
-                    f"{self.base_url}/{path}",
-                    json=body,
-                    headers=self._headers(),
-                    timeout=self.timeout_s,
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if resp.status_code == 200:
-                try:
-                    return resp.json()
-                except ValueError as exc:
-                    last_error = exc
-                    continue
-            text = resp.text[:500]
-            if resp.status_code == 400 and _CONTEXT_OVERFLOW.search(text):
-                raise ContextOverflow(f"backend rejected prompt as too long: {text}")
-            if resp.status_code >= 500:
-                last_error = BackendUnavailable(f"HTTP {resp.status_code}: {text}")
-                continue
-            raise BackendUnavailable(f"HTTP {resp.status_code}: {text}")
-        raise BackendUnavailable(f"backend failed after {self.max_retries + 1} attempts: {last_error}")
+        from . import transport
+
+        try:
+            return transport.post_json(
+                self.session, f"{self.base_url}/{path}", body,
+                key_env=LLM_KEY_ENV, auth_header=self.auth_header, timeout_s=self.timeout_s,
+                max_retries=self.max_retries, backoff_s=self.backoff_s,
+                label="llm backend", unavailable=BackendUnavailable,
+            )
+        except transport.HttpStatusError as exc:
+            if exc.status == 400 and _CONTEXT_OVERFLOW.search(exc.text):
+                raise ContextOverflow(f"backend rejected prompt as too long: {exc.text}") from exc
+            raise BackendUnavailable(str(exc)) from exc
 
     def complete(self, req: GenerationRequest) -> str:
         body = {

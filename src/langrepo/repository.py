@@ -19,7 +19,7 @@ from pathlib import Path
 from . import grouping
 from .embed import Embedder, similarity_matrix
 from .errors import ConfigError, CountMismatch, FormatError, MalformedFile, VersionMismatch
-from .ingest import Caption, CaptionSet, Chunk, chunk_captions, chunk_items
+from .ingest import Caption, CaptionSet, Chunk, chunk_captions, chunk_items, read_json_object
 from .llm import GenerationRequest, LlmClient
 from .prompts import (
     GROUP_MEMBER_SEPARATOR,
@@ -364,14 +364,7 @@ def save(repo: Repository, path: str | Path) -> None:
 
 def load(path: str | Path) -> Repository:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise MalformedFile(f"{path}: top level must be an object")
+    raw = read_json_object(path)
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise VersionMismatch(f"{path}: schema_version {version!r}, supported {SCHEMA_VERSION}")

@@ -14,6 +14,7 @@ from langrepo.embed import (
 from langrepo.errors import (
     ConfigError,
     DimensionMismatch,
+    MalformedFile,
     MissingEmbedding,
     ProviderUnavailable,
 )
@@ -58,6 +59,15 @@ class TestEmbedTexts:
         provider = build_provider(cfg)
         with pytest.raises(DimensionMismatch):
             embed_texts(["t"], provider, cfg)
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[[1.0, 0.0]]"])
+    def test_unreadable_precomputed_file(self, tmp_path, content):
+        path = tmp_path / "vecs.json"
+        if content is not None:
+            path.write_text(content)
+        cfg = EmbeddingProviderConfig(kind="precomputed-file", location=str(path), dimension=2)
+        with pytest.raises(MalformedFile, match="vecs.json"):
+            build_provider(cfg)
 
     def test_empty_input_rejected(self):
         cfg = hashed_cfg()
@@ -120,6 +130,19 @@ class TestHttpProvider:
         session = _FakeSession([_FakeResponse(500), _FakeResponse(200, {"vectors": [[1.0, 0.0]]})])
         provider = HttpEmbeddingProvider(self.cfg(), session=session)
         assert provider.embed_batch(["t"]).shape == (1, 2)
+
+    def test_recovers_after_rate_limit(self):
+        session = _FakeSession([_FakeResponse(429), _FakeResponse(200, {"vectors": [[1.0, 0.0]]})])
+        provider = HttpEmbeddingProvider(self.cfg(), session=session)
+        assert provider.embed_batch(["t"]).shape == (1, 2)
+        assert len(session.calls) == 2
+
+    def test_three_429s_exhaust_retries(self):
+        session = _FakeSession([_FakeResponse(429), _FakeResponse(429), _FakeResponse(429)])
+        provider = HttpEmbeddingProvider(self.cfg(), session=session)
+        with pytest.raises(ProviderUnavailable):
+            provider.embed_batch(["t"])
+        assert len(session.calls) == 3
 
     def test_api_key_header(self, monkeypatch):
         monkeypatch.setenv("LANGREPO_EMBED_KEY", "sekret")

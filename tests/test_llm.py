@@ -101,6 +101,23 @@ class TestCacheAndLedger:
         assert client.ledger.snapshot()["qa"] == 1
         assert client.ledger.snapshot()["cache_hits"] == 15
 
+    def test_concurrent_identical_requests_single_call_with_cache_dir(self, tmp_path):
+        client = LlmClient(MockBackend(), cache_dir=tmp_path, max_parallel=8)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda _: client.generate(req("same")), range(16)))
+        assert len(set(results)) == 1
+        assert client.ledger.snapshot()["qa"] == 1
+        assert client.ledger.snapshot()["cache_hits"] == 15
+
+    def test_disk_backed_cache_keeps_nothing_in_memory(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        values = {ResponseCache.key_for({"i": i}): {"text": f"reply {i}"} for i in range(200)}
+        for key, value in values.items():
+            cache.put(key, value)
+        assert cache._mem == {}
+        assert all(cache.get(key) == value for key, value in values.items())
+        assert cache._mem == {}
+
     def test_put_does_not_write_through_a_shared_temp_name(self, tmp_path):
         key = ResponseCache.key_for({"a": 1})
         # What a concurrent writer of the same key could leave behind.
@@ -188,6 +205,17 @@ class TestHttpBackend:
     def test_recovers_on_second_attempt(self):
         backend = http_backend([_FakeResponse(500), chat_ok("ok")])
         assert backend.complete(req("hi")) == "ok"
+
+    def test_recovers_after_rate_limit(self):
+        backend = http_backend([_FakeResponse(429, text="slow down"), chat_ok("ok")])
+        assert backend.complete(req("hi")) == "ok"
+        assert len(backend.session.calls) == 2
+
+    def test_three_429s_exhaust_retries(self):
+        backend = http_backend([_FakeResponse(429), _FakeResponse(429), _FakeResponse(429)])
+        with pytest.raises(BackendUnavailable):
+            backend.complete(req("hi"))
+        assert len(backend.session.calls) == 3
 
     def test_context_overflow(self):
         backend = http_backend(
