@@ -113,8 +113,8 @@ class HashedEmbeddingProvider:
 
     def _one(self, text: str) -> np.ndarray:
         seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal(self.cfg.dimension)
+        # The Generator default_rng(seed) builds, without its argument checks.
+        return np.random.Generator(np.random.PCG64(seed)).standard_normal(self.cfg.dimension)
 
 
 def build_provider(cfg: EmbeddingProviderConfig, session: Session | None = None):

@@ -23,9 +23,9 @@ from pathlib import Path
 from .embed import Embedder
 from .errors import MalformedFile, MissingCaptions, OptionCountError
 from .ingest import RATE_FACTORS, CaptionSet, chunk_captions, read_json_object, transform_rate
-from .llm import GenerationRequest, LlmClient
-from .prompts import render_summarize
-from .repository import SUMMARIZE_MAX_TOKENS, BuildConfig, Repository, build, read_from_repo
+from .llm import LlmClient
+from .prompts import render_summarize  # noqa: F401  bench/tracing.py wraps this name
+from .repository import BuildConfig, Repository, build, read_from_repo, summarize_texts
 from .vqa import CLASSIFIERS, Prediction, QaItem, answer_generative, answer_loglik
 
 logger = logging.getLogger(__name__)
@@ -82,18 +82,6 @@ def load_qa_dataset(path: str | Path) -> list[QaItem]:
     return items
 
 
-def _summarize_texts(texts: list[str], question: str, client: LlmClient) -> str:
-    prompt = render_summarize(texts, question)
-    return client.generate(
-        GenerationRequest(
-            prompt=prompt,
-            max_new_tokens=SUMMARIZE_MAX_TOKENS,
-            temperature=0.0,
-            purpose_tag="summarize",
-        )
-    )
-
-
 def prepare_video(
     captions: CaptionSet, cfg: BuildConfig, providers: Providers
 ) -> tuple[Repository, list[str] | None]:
@@ -126,11 +114,11 @@ def descriptions_for(
         return read_from_repo(repo, cfg, item.question, client)
     texts = [c.text for c in captions.captions]
     if mode == "llovi-whole":
-        return [_summarize_texts(texts, item.question, client)]
+        return [summarize_texts(texts, item.question, client)]
     if mode == "llovi-chunked":
         chunks = chunk_captions(captions, cfg.chunk_schedule[0])
         return [
-            _summarize_texts([c.text for c in chunk.items], item.question, client)
+            summarize_texts([c.text for c in chunk.items], item.question, client)
             for chunk in chunks
         ]
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

@@ -3,20 +3,17 @@
 One client fronts an OpenAI-compatible HTTP backend or a deterministic
 mock, adding retries, a content-addressed response cache, a per-purpose
 call ledger, a parallelism bound, and the one fan-out helper (map) that
-every concurrent caller goes through. The cache persists to disk when a
-directory is configured, which makes repository builds resumable and lets
-repeated runs issue zero new backend calls.
+every concurrent caller goes through. The cache persists to one SQLite
+file when a directory is configured, which makes repository builds
+resumable and lets repeated runs issue zero new backend calls.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import hashlib
 import json
-import os
 import re
-import tempfile
 import threading
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, TypeVar
 
-from .errors import BackendUnavailable, ContextOverflow, ScoringUnsupported
+from .errors import BackendUnavailable, ContextOverflow, MalformedFile, ScoringUnsupported
 from .prompts import GROUP_MEMBER_SEPARATOR, ITEM_LINE
 
 if TYPE_CHECKING:
@@ -32,6 +29,7 @@ if TYPE_CHECKING:
 
 PURPOSES = ("rephrase", "summarize", "qa")
 LLM_KEY_ENV = "LANGREPO_LLM_KEY"
+CACHE_FILE = "responses.sqlite"
 
 _CONTEXT_OVERFLOW = re.compile(r"context|too (?:long|many tokens)|maximum.*length", re.I)
 
@@ -103,53 +101,49 @@ class CallLedger:
 
 
 class ResponseCache:
-    """Replies by content-addressed key: in memory, or only on disk when a
-    directory is given, so that a disk-backed cache does not grow in memory
-    and several processes can share one directory."""
+    """Replies by content-addressed key: in memory, or only in one SQLite
+    file when a directory is given, so that a disk-backed cache does not
+    grow in memory and several processes on one host can share it."""
 
     def __init__(self, directory: str | Path | None = None):
         self._lock = threading.Lock()
         self._mem: dict[str, dict] = {}
         self.directory = Path(directory) if directory else None
+        self._db = None
         if self.directory:
+            import sqlite3
+
             self.directory.mkdir(parents=True, exist_ok=True)
+            path = self.directory / CACHE_FILE
+            # Autocommit; WAL lets readers work beside one writer, and the
+            # busy timeout makes writers of other processes wait their turn.
+            try:
+                self._db = sqlite3.connect(path, timeout=30.0, isolation_level=None, check_same_thread=False)
+                self._db.execute("PRAGMA journal_mode=WAL")
+                self._db.execute("PRAGMA synchronous=NORMAL")
+                self._db.execute("CREATE TABLE IF NOT EXISTS replies (key TEXT PRIMARY KEY, value TEXT)")
+            except sqlite3.DatabaseError as exc:
+                raise MalformedFile(f"{path}: cannot open response cache: {exc}") from exc
 
     @staticmethod
     def key_for(payload: dict) -> str:
         blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / key[:2] / f"{key}.json"
-
     def get(self, key: str) -> dict | None:
-        if self.directory is None:
-            with self._lock:
+        with self._lock:
+            if self._db is None:
                 return self._mem.get(key)
-        try:
-            return json.loads(self._path(key).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
+            row = self._db.execute("SELECT value FROM replies WHERE key = ?", (key,)).fetchone()
+        return None if row is None else json.loads(row[0])
 
     def put(self, key: str, value: dict) -> None:
-        if self.directory is None:
-            with self._lock:
+        with self._lock:
+            if self._db is None:
                 self._mem[key] = value
-        else:
-            path = self._path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # A temp name of its own per write: processes sharing the cache
-            # may write the same key at once, and each rename is atomic.
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as out:
-                    out.write(json.dumps(value, ensure_ascii=False))
-                os.replace(tmp, path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
+            else:
+                blob = json.dumps(value, ensure_ascii=False)
+                self._db.execute("INSERT OR REPLACE INTO replies VALUES (?, ?)", (key, blob))
 
 
 class MockBackend:

@@ -16,6 +16,8 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401  bench/tracing.p
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import grouping
 from .embed import Embedder, similarity_matrix
 from .errors import ConfigError, CountMismatch, FormatError, MalformedFile, VersionMismatch
@@ -130,7 +132,7 @@ class Repository:
 
 def _as_description(item) -> RepoDescription:
     if isinstance(item, RepoDescription):
-        return RepoDescription(item.text, item.timestamps, item.occurrences)
+        return item
     if isinstance(item, Caption):
         return RepoDescription(item.text, [[item.start_s, item.end_s]], 1)
     raise TypeError(f"chunk items must be Caption or RepoDescription, got {type(item)!r}")
@@ -181,7 +183,8 @@ def _rephrase_groups(
 
 
 def write_to_repo(
-    chunk: Chunk, cfg: BuildConfig, embedder: Embedder, client: LlmClient, scale: int = 0
+    chunk: Chunk, cfg: BuildConfig, embedder: Embedder, client: LlmClient, scale: int = 0,
+    *, vectors: dict[int, tuple[RepoDescription, np.ndarray]] | None = None,
 ) -> RepoEntry:
     """Prune one chunk and store the surviving descriptions.
 
@@ -189,21 +192,31 @@ def write_to_repo(
     spans and summed occurrences; everything else passes through verbatim.
     The entry holds exactly p - floor(x * |src|) descriptions, ordered by
     earliest timestamp.
+
+    vectors carries unit vectors from one write to the next, keyed by the
+    id of a description and holding it, so that the id cannot be reused:
+    the chunk's items are taken out of it and are not embedded again, and
+    the passed-through descriptions go back in with their vectors.
     """
     if not chunk.items:
         raise ValueError("chunk must be non-empty")
     items = [_as_description(it) for it in chunk.items]
     p = len(items)
+    known = [None] * p if vectors is None else [vectors.pop(id(it), (it, None))[1] for it in items]
 
     groups: list[grouping.CaptionGroup] = []
     pass_through = list(range(p))
     if p >= 2:
         split_result = grouping.split(p, cfg.dst_ratio)
         if int(cfg.grouping_ratio * len(split_result.src_indices)) >= 1:
-            vectors = embedder.encode([it.text for it in items])
+            missing = [i for i, vec in enumerate(known) if vec is None]
+            if missing:
+                for i, vec in zip(missing, embedder.encode([items[i].text for i in missing])):
+                    known[i] = vec
+            matrix = np.stack(known)
             sim = similarity_matrix(
-                vectors[list(split_result.src_indices)],
-                vectors[list(split_result.dst_indices)],
+                matrix[list(split_result.src_indices)],
+                matrix[list(split_result.dst_indices)],
             )
             groups, pass_through = grouping.match_and_group(sim, split_result, cfg.grouping_ratio)
 
@@ -219,6 +232,8 @@ def write_to_repo(
     for index in pass_through:
         item = items[index]
         keyed.append(((item.earliest_s, index), item))
+        if vectors is not None and known[index] is not None:
+            vectors[id(item)] = (item, known[index])
 
     keyed.sort(key=lambda pair: pair[0])
     return RepoEntry(scale=scale, chunk_index=chunk.index, descriptions=[d for _, d in keyed])
@@ -234,12 +249,6 @@ def re_chunk(entries: list[RepoEntry], m: int) -> list[Chunk]:
     return chunk_items(flat, m)
 
 
-def _write_scale(
-    chunks: list[Chunk], cfg: BuildConfig, embedder: Embedder, client: LlmClient, scale: int
-) -> list[RepoEntry]:
-    return client.map(lambda ch: write_to_repo(ch, cfg, embedder, client, scale), chunks)
-
-
 def build(
     captions: CaptionSet,
     cfg: BuildConfig,
@@ -249,11 +258,16 @@ def build(
 ) -> Repository:
     """Run every write pass of the schedule and assemble the repository."""
     scales: list[list[RepoEntry]] = []
+    # The vectors of one scale's passed-through descriptions, which are
+    # items of the next scale; chunks of a scale hold disjoint items.
+    vectors: dict[int, tuple[RepoDescription, np.ndarray]] = {}
     chunks = chunk_captions(captions, cfg.chunk_schedule[0])
     for scale, n_chunks in enumerate(cfg.chunk_schedule):
         if scale > 0:
             chunks = re_chunk(scales[-1], n_chunks)
-        entries = _write_scale(chunks, cfg, embedder, client, scale)
+        entries = client.map(
+            lambda ch: write_to_repo(ch, cfg, embedder, client, scale, vectors=vectors), chunks
+        )
         logger.info(
             "scale %d: %d chunks -> %d descriptions",
             scale,
@@ -313,17 +327,21 @@ def read_from_repo(
 
     def summarize(entry: RepoEntry) -> str:
         lines = [render_description_line(d, cfg) for d in entry.descriptions]
-        prompt = render_summarize(lines, condition_on)
-        return client.generate(
-            GenerationRequest(
-                prompt=prompt,
-                max_new_tokens=SUMMARIZE_MAX_TOKENS,
-                temperature=0.0,
-                purpose_tag="summarize",
-            )
-        )
+        return summarize_texts(lines, condition_on, client)
 
     return client.map(summarize, jobs)
+
+
+def summarize_texts(texts: list[str], question: str | None, client: LlmClient) -> str:
+    """One summarize call over texts, conditioned on the question unless it is None."""
+    return client.generate(
+        GenerationRequest(
+            prompt=render_summarize(texts, question),
+            max_new_tokens=SUMMARIZE_MAX_TOKENS,
+            temperature=0.0,
+            purpose_tag="summarize",
+        )
+    )
 
 
 def to_canonical_json(repo: Repository) -> str:

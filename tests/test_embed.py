@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -36,6 +37,20 @@ class TestEmbedTexts:
         provider = build_provider(cfg)
         vecs = embed_texts([f"t{i}" for i in range(10)], provider, cfg)
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "dimension, digest",
+        [
+            (16, "9ee10f185c30ec295d368930819ba2128735e58b281435299c9de49420ebd910"),
+            (64, "71774d6afb6d7ead3f8b99f99df201a9bd21e36c37c7cfe9db63636c8531bfb8"),
+        ],
+    )
+    def test_hashed_vectors_are_pinned(self, dimension, digest):
+        # Repositories built with the hashed provider must stay byte-identical
+        # across releases, so its raw vectors may never change.
+        texts = ["C opens the drawer", "person does action 7 near object 0", "Ünïcode — text", ""]
+        raw = build_provider(hashed_cfg(dimension)).embed_batch(texts)
+        assert hashlib.sha256(raw.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_truncation_makes_long_texts_equal(self):
         cfg = EmbeddingProviderConfig(kind="hashed", dimension=8, max_text_chars=10)

@@ -1,13 +1,17 @@
 import contextvars
 import json
+import multiprocessing
+import re
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from langrepo.errors import BackendUnavailable, ContextOverflow, ScoringUnsupported
+from langrepo.errors import BackendUnavailable, ContextOverflow, MalformedFile, ScoringUnsupported
 from langrepo.llm import (
+    CACHE_FILE,
     CallLedger,
     GenerationRequest,
     HttpBackend,
@@ -16,6 +20,17 @@ from langrepo.llm import (
     ResponseCache,
     ScoreRequest,
 )
+
+
+def _fill_cache(directory, indices, start):
+    try:
+        client = LlmClient(MockBackend(), cache_dir=directory)
+    except BaseException:
+        start.abort()  # the other process must not wait for this one
+        raise
+    start.wait(timeout=30)
+    for i in indices:
+        client.generate(req(f"prompt {i}"))
 
 
 def req(prompt, **kw):
@@ -118,13 +133,46 @@ class TestCacheAndLedger:
         assert all(cache.get(key) == value for key, value in values.items())
         assert cache._mem == {}
 
-    def test_put_does_not_write_through_a_shared_temp_name(self, tmp_path):
-        key = ResponseCache.key_for({"a": 1})
-        # What a concurrent writer of the same key could leave behind.
-        (tmp_path / key[:2] / f"{key}.tmp").mkdir(parents=True)
-        ResponseCache(tmp_path).put(key, {"text": "x"})
-        assert ResponseCache(tmp_path).get(key) == {"text": "x"}
-        assert sorted(p.name for p in (tmp_path / key[:2]).iterdir()) == [f"{key}.json", f"{key}.tmp"]
+    def test_threads_sharing_a_disk_cache(self, tmp_path):
+        client = LlmClient(MockBackend(), cache_dir=tmp_path, max_parallel=8)
+        requests = [req(f"prompt {i % 300}", purpose_tag="summarize") for i in range(1200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                replies = list(pool.map(client.generate, requests, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert replies == [MockBackend().complete(r) for r in requests]
+        assert client.ledger.snapshot()["summarize"] == 300
+        fresh = LlmClient(MockBackend(), cache_dir=tmp_path)
+        assert [fresh.generate(r) for r in requests[:300]] == replies[:300]
+        assert fresh.ledger.total_calls() == 0
+
+    def test_processes_sharing_a_cache_directory(self, tmp_path):
+        # Two processes write overlapping keys into one database at once;
+        # every reply either wrote is then answered from it.
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Barrier(2)
+        workers = [
+            ctx.Process(target=_fill_cache, args=(str(tmp_path), range(first, first + 60), start))
+            for first in (0, 30)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert [worker.exitcode for worker in workers] == [0, 0]
+        client = LlmClient(MockBackend(), cache_dir=tmp_path)
+        for i in range(90):
+            assert client.generate(req(f"prompt {i}")) == "A"
+        assert client.ledger.total_calls() == 0
+        assert client.ledger.snapshot()["cache_hits"] == 90
+
+    def test_cache_file_that_is_not_a_database(self, tmp_path):
+        (tmp_path / CACHE_FILE).write_text("not a database\n" * 100, encoding="utf-8")
+        with pytest.raises(MalformedFile, match=re.escape(str(tmp_path / CACHE_FILE))):
+            LlmClient(MockBackend(), cache_dir=tmp_path)
 
     def test_cache_key_stable(self):
         key1 = ResponseCache.key_for({"a": 1, "b": "x"})

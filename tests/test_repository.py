@@ -1,6 +1,9 @@
+import sys
+import threading
+
 import pytest
 
-from langrepo.embed import similarity_matrix
+from langrepo.embed import Embedder, EmbeddingProviderConfig, similarity_matrix
 from langrepo.errors import ConfigError, MalformedFile, VersionMismatch
 from langrepo.grouping import split
 from langrepo.ingest import Chunk, chunk_captions
@@ -174,6 +177,22 @@ class TestReChunk:
             re_chunk([], 2)
 
 
+class CountingEmbedder(Embedder):
+    def __init__(self):
+        super().__init__(EmbeddingProviderConfig(kind="hashed", dimension=32))
+        self._lock = threading.Lock()
+        self.texts = 0
+
+    def encode(self, texts):
+        with self._lock:
+            self.texts += len(texts)
+        return super().encode(texts)
+
+
+def description_value(d: RepoDescription) -> tuple:
+    return d.text, tuple(map(tuple, d.timestamps)), d.occurrences
+
+
 class TestBuild:
     def test_schedule_shapes_scales(self, hashed_embedder, mock_client):
         cfg = BuildConfig(chunk_schedule=[3, 2])
@@ -213,6 +232,39 @@ class TestBuild:
             caption_set_60, BuildConfig(), hashed_embedder, LlmClient(MockBackend(), max_parallel=8)
         )
         assert to_canonical_json(serial) == to_canonical_json(parallel)
+
+    @pytest.mark.parametrize("max_parallel", [1, 8])
+    def test_each_description_is_embedded_once(self, max_parallel):
+        captions = make_caption_set(600)
+        embedder = CountingEmbedder()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # chunks of one scale share the carried vectors
+        try:
+            repo = build(captions, BuildConfig(), embedder, LlmClient(MockBackend(), max_parallel=max_parallel))
+        finally:
+            sys.setswitchinterval(interval)
+        # A rephrased description has summed occurrences, so it equals no
+        # description of its scale's input; a passed-through one equals its own.
+        inputs = {description_value(RepoDescription(c.text, [[c.start_s, c.end_s]])) for c in captions.captions}
+        rephrased = 0
+        for scale in repo.scales[:2]:
+            outputs = {description_value(d) for entry in scale for d in entry.descriptions}
+            rephrased += len(outputs - inputs)
+            inputs = outputs
+        assert rephrased > 0
+        assert embedder.texts == 600 + rephrased
+
+    def test_carried_vectors_leave_the_repository_unchanged(self, hashed_embedder, mock_client):
+        captions = make_caption_set(600)
+        cfg = BuildConfig()
+        # Every write embeds all of its items when no vectors are carried.
+        scales = []
+        chunks = chunk_captions(captions, cfg.chunk_schedule[0])
+        for scale, n_chunks in enumerate(cfg.chunk_schedule):
+            if scale > 0:
+                chunks = re_chunk(scales[-1], n_chunks)
+            scales.append([write_to_repo(ch, cfg, hashed_embedder, mock_client, scale) for ch in chunks])
+        assert build(captions, cfg, hashed_embedder, mock_client).scales == scales
 
 
 class TestRenderDescriptionLine:
