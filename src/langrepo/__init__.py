@@ -1,68 +1,34 @@
 """langrepo: an iterative, multi-scale, all-textual repository over
 captioned video chunks, with similarity-based pruning and zero-shot
-multiple-choice question answering."""
+multiple-choice question answering.
 
-from .embed import Embedder, EmbeddingProviderConfig, embed_texts, similarity_matrix
-from .evalharness import EvalReport, Providers, evaluate, load_qa_dataset, run_length_ablation
-from .grouping import CaptionGroup, SplitResult, match_and_group, split
-from .ingest import Caption, CaptionSet, Chunk, chunk_captions, load_captions, transform_rate
-from .llm import CallLedger, GenerationRequest, HttpBackend, LlmClient, MockBackend, ScoreRequest
-from .repository import (
-    BuildConfig,
-    RepoDescription,
-    RepoEntry,
-    Repository,
-    build,
-    load,
-    read_from_repo,
-    re_chunk,
-    render_description_line,
-    save,
-    write_to_repo,
-)
-from .vqa import Prediction, QaItem, answer_generative, answer_loglik
+The names below are the ones README's "Library use" section documents;
+everything else is reached through its submodule, e.g.
+langrepo.evalharness.evaluate.
+"""
+
+# The submodules the package loads, each resolvable as langrepo.<module>;
+# config, cli and transport load on first import of their own.
+from . import embed, errors, evalharness, grouping, ingest, llm, prompts, repository, vqa  # noqa: F401
+from .embed import Embedder, EmbeddingProviderConfig
+from .ingest import load_captions
+from .llm import LlmClient, MockBackend
+from .repository import BuildConfig, build, load, read_from_repo, save
+from .vqa import QaItem, answer_loglik
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BuildConfig",
-    "CallLedger",
-    "Caption",
-    "CaptionGroup",
-    "CaptionSet",
-    "Chunk",
     "Embedder",
     "EmbeddingProviderConfig",
-    "EvalReport",
-    "GenerationRequest",
-    "HttpBackend",
     "LlmClient",
     "MockBackend",
-    "Prediction",
-    "Providers",
     "QaItem",
-    "RepoDescription",
-    "RepoEntry",
-    "Repository",
-    "ScoreRequest",
-    "SplitResult",
-    "answer_generative",
     "answer_loglik",
     "build",
-    "chunk_captions",
-    "embed_texts",
-    "evaluate",
     "load",
     "load_captions",
-    "load_qa_dataset",
-    "match_and_group",
     "read_from_repo",
-    "re_chunk",
-    "render_description_line",
-    "run_length_ablation",
     "save",
-    "similarity_matrix",
-    "split",
-    "transform_rate",
-    "write_to_repo",
 ]

@@ -54,11 +54,6 @@ def _app_config(args) -> AppConfig:
     return load_app_config(_existing(args.config))
 
 
-def _print_ledger(ledger: dict[str, int]) -> None:
-    calls = ", ".join(f"{k}={ledger.get(k, 0)}" for k in ("rephrase", "summarize", "qa"))
-    print(f"llm calls: {calls}, cache_hits={ledger.get('cache_hits', 0)}")
-
-
 def cmd_build(args) -> int:
     cfg = _app_config(args)
     captions = load_captions(_existing(args.captions))
@@ -72,7 +67,7 @@ def cmd_build(args) -> int:
     for scale in repo.scales:
         n_desc = sum(len(e.descriptions) for e in scale)
         print(f"  scale {scale[0].scale}: {len(scale)} entries, {n_desc} descriptions")
-    _print_ledger(providers.client.ledger.snapshot())
+    print(evalharness.format_ledger(providers.client.ledger.snapshot()))
     return 0
 
 
@@ -102,7 +97,7 @@ def cmd_answer(args) -> int:
             print(f"  {i}: {score:+.4f}  {option}")
     if prediction.fallback:
         print("warning: reply was unparseable, fell back to option 0", file=sys.stderr)
-    _print_ledger(providers.client.ledger.snapshot())
+    print(evalharness.format_ledger(providers.client.ledger.snapshot()))
     return 0
 
 

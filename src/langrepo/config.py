@@ -1,6 +1,7 @@
 """Application configuration: one JSON file wiring every module together.
 
-Shape (all sections optional except where noted):
+Shape (every key optional; a missing key takes its dataclass default, and
+an unknown key at any level is an error):
 
     {
       "llm":   {"kind": "mock" | "http", "endpoint": str, "model": str,
@@ -28,7 +29,7 @@ from .embed import Embedder, EmbeddingProviderConfig
 from .errors import ConfigError, MalformedFile
 from .evalharness import Providers
 from .ingest import read_json_object
-from .llm import CallLedger, HttpBackend, LlmClient, MockBackend
+from .llm import HttpBackend, LlmClient, MockBackend
 from .prompts import LOGLIK_FORMATS
 from .repository import BuildConfig
 from .vqa import CLASSIFIERS
@@ -58,7 +59,7 @@ class LlmSettings:
 @dataclass
 class AppConfig:
     llm: LlmSettings = field(default_factory=LlmSettings)
-    embed: EmbeddingProviderConfig = field(default_factory=lambda: EmbeddingProviderConfig(kind="hashed"))
+    embed: EmbeddingProviderConfig = field(default_factory=EmbeddingProviderConfig)
     build: BuildConfig = field(default_factory=BuildConfig)
     cache_dir: str | None = None
     parallelism: int = 4
@@ -66,19 +67,17 @@ class AppConfig:
     loglik_format: str = "plain"
 
     def __post_init__(self) -> None:
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
+        # bool is an int subclass, and int() would round 4.5 down silently.
+        if type(self.parallelism) is not int or self.parallelism < 1:
+            raise ConfigError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
         if self.classifier not in CLASSIFIERS:
             raise ConfigError(f"classifier must be one of {CLASSIFIERS}")
         if self.loglik_format not in LOGLIK_FORMATS:
             raise ConfigError(f"loglik_format must be one of {LOGLIK_FORMATS}")
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return value
+# The sections of AppConfig that are objects, each built by _pick first.
+_SECTIONS = {"llm": LlmSettings, "embed": EmbeddingProviderConfig, "build": BuildConfig}
 
 
 def _pick(cls, raw: dict, context: str):
@@ -97,22 +96,15 @@ def load_app_config(path: str | Path) -> AppConfig:
         raw = read_json_object(Path(path))
     except MalformedFile as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-    known_top = {"llm", "embed", "build", "cache_dir", "parallelism", "classifier", "loglik_format"}
-    unknown = set(raw) - known_top
-    if unknown:
-        raise ConfigError(f"unknown top-level config key(s): {', '.join(sorted(unknown))}")
-    return AppConfig(
-        llm=_pick(LlmSettings, _section(raw, "llm"), "llm settings"),
-        embed=_pick(EmbeddingProviderConfig, _section(raw, "embed"), "embed settings"),
-        build=_pick(BuildConfig, _section(raw, "build"), "build settings"),
-        cache_dir=raw.get("cache_dir"),
-        parallelism=int(raw.get("parallelism", 4)),
-        classifier=raw.get("classifier", "loglik"),
-        loglik_format=raw.get("loglik_format", "plain"),
-    )
+    for name, cls in _SECTIONS.items():
+        if name in raw:
+            if not isinstance(raw[name], dict):
+                raise ConfigError(f"config section {name!r} must be an object")
+            raw[name] = _pick(cls, raw[name], f"{name} settings")
+    return _pick(AppConfig, raw, "config")
 
 
-def make_client(cfg: AppConfig, cache_dir: str | None = None, ledger: CallLedger | None = None) -> LlmClient:
+def make_client(cfg: AppConfig, cache_dir: str | None = None) -> LlmClient:
     if cfg.llm.kind == "http":
         backend = HttpBackend(
             base_url=cfg.llm.endpoint,
@@ -127,7 +119,6 @@ def make_client(cfg: AppConfig, cache_dir: str | None = None, ledger: CallLedger
     return LlmClient(
         backend,
         cache_dir=cache_dir if cache_dir is not None else cfg.cache_dir,
-        ledger=ledger,
         max_parallel=cfg.parallelism,
     )
 

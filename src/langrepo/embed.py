@@ -34,7 +34,7 @@ _HTTP_BATCH = 64
 
 @dataclass
 class EmbeddingProviderConfig:
-    kind: str
+    kind: str = "hashed"
     location: str = ""
     dimension: int = 64
     max_text_chars: int = 300
@@ -117,47 +117,44 @@ class HashedEmbeddingProvider:
         return np.random.Generator(np.random.PCG64(seed)).standard_normal(self.cfg.dimension)
 
 
-def build_provider(cfg: EmbeddingProviderConfig, session: Session | None = None):
-    if cfg.kind == "precomputed-file":
-        return PrecomputedFileProvider(cfg)
-    if cfg.kind == "http-endpoint":
-        return HttpEmbeddingProvider(cfg, session=session)
-    return HashedEmbeddingProvider(cfg)
-
-
-def embed_texts(texts: list[str], provider, cfg: EmbeddingProviderConfig) -> np.ndarray:
-    """Embed texts in order, returning an (n, dimension) unit-norm matrix.
-
-    Each text is truncated to cfg.max_text_chars before dispatch, which
-    stands in for the encoder's token limit.
-    """
-    if not texts:
-        raise ValueError("texts must be non-empty")
-    truncated = [t[: cfg.max_text_chars] for t in texts]
-    matrix = np.asarray(provider.embed_batch(truncated), dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != len(texts):
-        raise DimensionMismatch(f"provider returned shape {matrix.shape} for {len(texts)} texts")
-    if matrix.shape[1] != cfg.dimension:
-        raise DimensionMismatch(
-            f"provider returned dimension {matrix.shape[1]}, config says {cfg.dimension}"
-        )
-    if not np.all(np.isfinite(matrix)):
-        raise DimensionMismatch("provider returned non-finite values")
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise DimensionMismatch("provider returned a zero vector")
-    return matrix / norms
-
-
 class Embedder:
-    """Config plus provider, bundled for callers that just want vectors."""
+    """The provider the config names, checked and normalized to unit vectors.
+
+    provider is a plain attribute, so a test may replace it with any object
+    that has embed_batch.
+    """
 
     def __init__(self, cfg: EmbeddingProviderConfig, session: Session | None = None):
         self.cfg = cfg
-        self.provider = build_provider(cfg, session=session)
+        if cfg.kind == "precomputed-file":
+            self.provider = PrecomputedFileProvider(cfg)
+        elif cfg.kind == "http-endpoint":
+            self.provider = HttpEmbeddingProvider(cfg, session=session)
+        else:
+            self.provider = HashedEmbeddingProvider(cfg)
 
     def encode(self, texts: list[str]) -> np.ndarray:
-        return embed_texts(texts, self.provider, self.cfg)
+        """Embed texts in order, returning an (n, dimension) unit-norm matrix.
+
+        Each text is truncated to cfg.max_text_chars before dispatch, which
+        stands in for the encoder's token limit.
+        """
+        if not texts:
+            raise ValueError("texts must be non-empty")
+        truncated = [t[: self.cfg.max_text_chars] for t in texts]
+        matrix = np.asarray(self.provider.embed_batch(truncated), dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != len(texts):
+            raise DimensionMismatch(f"provider returned shape {matrix.shape} for {len(texts)} texts")
+        if matrix.shape[1] != self.cfg.dimension:
+            raise DimensionMismatch(
+                f"provider returned dimension {matrix.shape[1]}, config says {self.cfg.dimension}"
+            )
+        if not np.all(np.isfinite(matrix)):
+            raise DimensionMismatch("provider returned non-finite values")
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+        if np.any(norms == 0):
+            raise DimensionMismatch("provider returned a zero vector")
+        return matrix / norms
 
 
 def similarity_matrix(src: np.ndarray, dst: np.ndarray) -> np.ndarray:

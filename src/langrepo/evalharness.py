@@ -23,7 +23,7 @@ from pathlib import Path
 from .embed import Embedder
 from .errors import MalformedFile, MissingCaptions, OptionCountError
 from .ingest import RATE_FACTORS, CaptionSet, chunk_captions, read_json_object, transform_rate
-from .llm import LlmClient
+from .llm import PURPOSES, LlmClient
 from .prompts import render_summarize  # noqa: F401  bench/tracing.py wraps this name
 from .repository import BuildConfig, Repository, build, read_from_repo, summarize_texts
 from .vqa import CLASSIFIERS, Prediction, QaItem, answer_generative, answer_loglik
@@ -282,10 +282,11 @@ def format_report(report: EvalReport) -> str:
         width = max(len(tag) for tag in report.per_split)
         for tag, acc in report.per_split.items():
             lines.append(f"  {tag.ljust(width)}  {acc:.4f}")
-    ledger = report.ledger_snapshot
-    lines.append(
-        "llm calls: "
-        + ", ".join(f"{k}={ledger[k]}" for k in ("rephrase", "summarize", "qa") if k in ledger)
-        + f", cache_hits={ledger.get('cache_hits', 0)}"
-    )
+    lines.append(format_ledger(report.ledger_snapshot))
     return "\n".join(lines)
+
+
+def format_ledger(ledger: dict[str, int]) -> str:
+    """One line of backend calls per purpose plus cache hits."""
+    calls = ", ".join(f"{k}={ledger.get(k, 0)}" for k in PURPOSES)
+    return f"llm calls: {calls}, cache_hits={ledger.get('cache_hits', 0)}"

@@ -23,10 +23,6 @@ class SplitResult:
     dst_indices: tuple[int, ...]
     src_indices: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.dst_indices) + len(self.src_indices)
-
 
 @dataclass
 class CaptionGroup:

@@ -47,8 +47,6 @@ class GenerationRequest:
 
     prompt: str
     max_new_tokens: int = 512
-    temperature: float = 0.0
-    stop: tuple[str, ...] | None = None
     purpose_tag: str = "qa"
     attempt: int = 0
 
@@ -57,8 +55,6 @@ class GenerationRequest:
             raise ValueError(f"purpose_tag must be one of {PURPOSES}")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -217,7 +213,7 @@ class MockBackend:
 class HttpBackend:
     """OpenAI-compatible chat endpoint, with completions-based scoring.
 
-    Generation POSTs {model, messages, temperature, max_tokens} to
+    Generation POSTs {model, messages, temperature 0, max_tokens} to
     <base_url>/chat/completions. Scoring POSTs the concatenated text to
     <base_url>/completions with echo and logprobs and sums the
     log-probabilities of the tokens whose span reaches into the
@@ -234,7 +230,6 @@ class HttpBackend:
         backoff_s: float = 1.0,
         timeout_s: float = 120.0,
         wrap_instructions: bool = True,
-        auth_header: str = "Authorization",
         session: Session | None = None,
     ):
         from . import transport
@@ -245,7 +240,6 @@ class HttpBackend:
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
         self.wrap_instructions = wrap_instructions
-        self.auth_header = auth_header
         self.session = session or transport.new_session()
         self.backend_id = f"http:{self.base_url}"
 
@@ -260,7 +254,7 @@ class HttpBackend:
         try:
             return transport.post_json(
                 self.session, f"{self.base_url}/{path}", body,
-                key_env=LLM_KEY_ENV, auth_header=self.auth_header, timeout_s=self.timeout_s,
+                key_env=LLM_KEY_ENV, auth_header="Authorization", timeout_s=self.timeout_s,
                 max_retries=self.max_retries, backoff_s=self.backoff_s,
                 label="llm backend", unavailable=BackendUnavailable,
             )
@@ -273,11 +267,9 @@ class HttpBackend:
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": req.prompt}],
-            "temperature": req.temperature,
+            "temperature": 0.0,
             "max_tokens": req.max_new_tokens,
         }
-        if req.stop:
-            body["stop"] = list(req.stop)
         data = self._post("chat/completions", body)
         try:
             return data["choices"][0]["message"]["content"]
@@ -318,21 +310,15 @@ class LlmClient:
     """Caching, counting front-end over a backend.
 
     Identical requests are answered from the cache without touching the
-    backend. A cache hit takes no client lock; concurrent misses on one key
-    collapse into a single backend call, and misses on different keys never
-    wait for each other beyond the max_parallel bound on backend calls.
+    backend. Concurrent requests for one key collapse into a single cache
+    read and, on a miss, a single backend call; requests for different keys
+    never wait for each other beyond the max_parallel bound on backend calls.
     """
 
-    def __init__(
-        self,
-        backend,
-        cache_dir: str | Path | None = None,
-        ledger: CallLedger | None = None,
-        max_parallel: int = 4,
-    ):
+    def __init__(self, backend, cache_dir: str | Path | None = None, max_parallel: int = 4):
         self.backend = backend
         self.cache = ResponseCache(cache_dir)
-        self.ledger = ledger or CallLedger()
+        self.ledger = CallLedger()
         self.max_parallel = max(1, max_parallel)
         self._sem = threading.BoundedSemaphore(self.max_parallel)
         self._inflight_lock = threading.Lock()
@@ -361,16 +347,15 @@ class LlmClient:
     def _cached(self, key: str, purpose: str, call: Callable[[], dict]) -> dict:
         """The cached value under key, from one backend call on a miss.
 
-        The first miss on a key registers an Event and makes the call; other
-        misses on that key wait for the Event and read the cache again. If
-        the call raised, the cache is still empty and one of them calls
-        the backend itself.
+        A request first registers an Event for its key, then reads the cache
+        once, and on a miss makes the call. Other requests for that key wait
+        for the Event and start over, so their one read sees what the owner
+        stored. If the call raised, the cache is still empty and one of them
+        calls the backend itself. A hit holds _inflight_lock for two dict
+        operations, registering the Event and removing it; the cache read
+        runs outside the lock.
         """
         while True:
-            value = self.cache.get(key)
-            if value is not None:
-                self.ledger.record_hit()
-                return value
             with self._inflight_lock:
                 pending = self._inflight.get(key)
                 if pending is None:
@@ -379,8 +364,6 @@ class LlmClient:
                 pending.wait()
                 continue
             try:
-                # The previous owner may have filled the cache and left
-                # between the read above and the registration.
                 value = self.cache.get(key)
                 if value is not None:
                     self.ledger.record_hit()
@@ -404,8 +387,10 @@ class LlmClient:
                 "model": self.backend.model,
                 "prompt": prompt,
                 "max_new_tokens": req.max_new_tokens,
-                "temperature": req.temperature,
-                "stop": list(req.stop) if req.stop else None,
+                # Constant fields, kept so that replies cached by earlier
+                # releases are still found under the same keys.
+                "temperature": 0.0,
+                "stop": None,
                 "attempt": req.attempt,
             }
         )

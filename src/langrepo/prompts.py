@@ -87,7 +87,7 @@ def option_letter(index: int) -> str:
     return chr(ord("A") + index)
 
 
-def render_rephrase(groups: list[str], template: str | None = None) -> str:
+def render_rephrase(groups: list[str]) -> str:
     """Prompt asking for one concise sentence per group, as a strict list.
 
     Each entry of ``groups`` is the member texts of one group already joined
@@ -95,9 +95,8 @@ def render_rephrase(groups: list[str], template: str | None = None) -> str:
     """
     if not groups:
         raise ValueError("groups must be non-empty")
-    body = template if template is not None else _load_asset("rephrase")[0]
     items = "\n".join(f"{i + 1}. {text}" for i, text in enumerate(groups))
-    return Template(body).substitute(count=str(len(groups)), items=items)
+    return Template(_load_asset("rephrase")[0]).substitute(count=str(len(groups)), items=items)
 
 
 def parse_rephrase_output(text: str, expected_n: int) -> list[str]:
@@ -125,20 +124,17 @@ def parse_rephrase_output(text: str, expected_n: int) -> list[str]:
     return [text for _, text in items]
 
 
-def render_summarize(
-    entry_lines: list[str], question: str | None = None, template: str | None = None
-) -> str:
+def render_summarize(entry_lines: list[str], question: str | None = None) -> str:
     """Prompt summarizing one repository entry's rendered lines.
 
     When a question is given it is included as conditioning context.
     """
     if not entry_lines:
         raise ValueError("entry_lines must be non-empty")
-    body = template if template is not None else _load_asset("summarize")[0]
     question_line = ""
     if question:
         question_line = f"Keep this question in mind and keep details that help answer it: {question}\n"
-    return Template(body).substitute(lines="\n".join(entry_lines), question_line=question_line)
+    return Template(_load_asset("summarize")[0]).substitute(lines="\n".join(entry_lines), question_line=question_line)
 
 
 def _format_duration(duration_s: float) -> str:

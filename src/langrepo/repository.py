@@ -110,14 +110,6 @@ class BuildConfig:
         if self.rephrase_retries < 0:
             raise ConfigError("rephrase_retries must be >= 0")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "BuildConfig":
-        known = {f: raw[f] for f in cls.__dataclass_fields__ if f in raw}
-        return cls(**known)
-
 
 @dataclass
 class Repository:
@@ -165,7 +157,6 @@ def _rephrase_groups(
             GenerationRequest(
                 prompt=prompt,
                 max_new_tokens=REPHRASE_MAX_TOKENS,
-                temperature=0.0,
                 purpose_tag="rephrase",
                 attempt=attempt,
             )
@@ -338,7 +329,6 @@ def summarize_texts(texts: list[str], question: str | None, client: LlmClient) -
         GenerationRequest(
             prompt=render_summarize(texts, question),
             max_new_tokens=SUMMARIZE_MAX_TOKENS,
-            temperature=0.0,
             purpose_tag="summarize",
         )
     )
@@ -353,7 +343,7 @@ def to_canonical_json(repo: Repository) -> str:
         "schema_version": SCHEMA_VERSION,
         "video_id": repo.video_id,
         "duration_s": float(repo.duration_s),
-        "config": repo.config.to_dict(),
+        "config": asdict(repo.config),
         "provenance": dict(repo.provenance),
         "scales": [
             [
@@ -387,7 +377,8 @@ def load(path: str | Path) -> Repository:
     if version != SCHEMA_VERSION:
         raise VersionMismatch(f"{path}: schema_version {version!r}, supported {SCHEMA_VERSION}")
     try:
-        config = BuildConfig.from_dict(raw["config"])
+        # An unknown key raises TypeError, reported as MalformedFile below.
+        config = BuildConfig(**raw["config"])
         scales = []
         for scale_index, entries in enumerate(raw["scales"]):
             scale_entries = []

@@ -83,7 +83,6 @@ def answer_generative(
             GenerationRequest(
                 prompt=prompt,
                 max_new_tokens=16,
-                temperature=0.0,
                 purpose_tag="qa",
                 attempt=attempt,
             )
@@ -111,22 +110,18 @@ def answer_loglik(
     item: QaItem,
     format: str,
     client: LlmClient,
-    length_normalize: bool = False,
 ) -> Prediction:
     """Score every option's continuation and take the argmax.
 
     The options are scored concurrently through client.map, one score
-    request each. Ties resolve to the lowest option index. The default
-    score is the raw joint log-probability; length_normalize divides it by
-    the continuation length to discount long options.
+    request each. An option's score is the raw joint log-probability of
+    its continuation. Ties resolve to the lowest option index.
     """
     qa = _qa_input(descriptions, item, duration_s=0.0)
     requests = [
         ScoreRequest(*render_qa_loglik(qa, index, format)) for index in range(len(item.options))
     ]
     scores = client.map(client.score, requests)
-    if length_normalize:
-        scores = [s / max(1, len(r.continuation)) for s, r in zip(scores, requests)]
     choice = max(range(len(scores)), key=lambda i: (scores[i], -i))
     return Prediction(
         question_id=item.question_id,

@@ -1,0 +1,39 @@
+"""README's "Library use" section runs as written and documents the package's exports."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import langrepo
+
+from conftest import make_caption_set, write_caption_file
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_use_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+
+
+def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
+    blocks = re.findall(r"```python\n(.*?)```", library_use_section(), re.S)
+    assert len(blocks) == 1
+    write_caption_file(tmp_path / "demo.json", make_caption_set(60, video_id="demo"))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert (tmp_path / "repo.json").is_file()
+    assert (tmp_path / ".cache" / "responses.sqlite").is_file()
+    assert capsys.readouterr().out.startswith("cooking ")
+
+
+def test_every_export_is_documented():
+    section = library_use_section()
+    assert [name for name in langrepo.__all__ if not re.search(rf"\b{name}\b", section)] == []
+
+
+def test_submodules_resolve_after_importing_the_package():
+    modules = ["embed", "errors", "evalharness", "grouping", "ingest", "llm", "prompts", "repository", "vqa"]
+    code = f"import langrepo; [getattr(langrepo, m) for m in {modules!r}]"
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=Path(langrepo.__file__).parents[1])

@@ -8,8 +8,6 @@ from langrepo.embed import (
     Embedder,
     EmbeddingProviderConfig,
     HttpEmbeddingProvider,
-    build_provider,
-    embed_texts,
     similarity_matrix,
 )
 from langrepo.errors import (
@@ -27,15 +25,11 @@ def hashed_cfg(dimension=16):
 
 class TestEmbedTexts:
     def test_identical_texts_identical_vectors(self):
-        cfg = hashed_cfg()
-        provider = build_provider(cfg)
-        vecs = embed_texts(["same text", "same text"], provider, cfg)
+        vecs = Embedder(hashed_cfg()).encode(["same text", "same text"])
         np.testing.assert_array_equal(vecs[0], vecs[1])
 
     def test_unit_norm(self):
-        cfg = hashed_cfg()
-        provider = build_provider(cfg)
-        vecs = embed_texts([f"t{i}" for i in range(10)], provider, cfg)
+        vecs = Embedder(hashed_cfg()).encode([f"t{i}" for i in range(10)])
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-6)
 
     @pytest.mark.parametrize(
@@ -49,31 +43,30 @@ class TestEmbedTexts:
         # Repositories built with the hashed provider must stay byte-identical
         # across releases, so its raw vectors may never change.
         texts = ["C opens the drawer", "person does action 7 near object 0", "Ünïcode — text", ""]
-        raw = build_provider(hashed_cfg(dimension)).embed_batch(texts)
+        raw = Embedder(hashed_cfg(dimension)).provider.embed_batch(texts)
         assert hashlib.sha256(raw.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_truncation_makes_long_texts_equal(self):
         cfg = EmbeddingProviderConfig(kind="hashed", dimension=8, max_text_chars=10)
-        provider = build_provider(cfg)
-        vecs = embed_texts(["abcdefghijKLM", "abcdefghijXYZ"], provider, cfg)
+        vecs = Embedder(cfg).encode(["abcdefghijKLM", "abcdefghijXYZ"])
         np.testing.assert_array_equal(vecs[0], vecs[1])
 
     def test_missing_embedding(self, tmp_path):
         path = tmp_path / "vecs.json"
         path.write_text(json.dumps({"known": [1.0, 0.0]}))
         cfg = EmbeddingProviderConfig(kind="precomputed-file", location=str(path), dimension=2)
-        provider = build_provider(cfg)
-        assert embed_texts(["known"], provider, cfg).shape == (1, 2)
+        embedder = Embedder(cfg)
+        assert embedder.encode(["known"]).shape == (1, 2)
         with pytest.raises(MissingEmbedding):
-            embed_texts(["unknown"], provider, cfg)
+            embedder.encode(["unknown"])
 
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "vecs.json"
         path.write_text(json.dumps({"t": [1.0, 0.0]}))
         cfg = EmbeddingProviderConfig(kind="precomputed-file", location=str(path), dimension=3)
-        provider = build_provider(cfg)
+        embedder = Embedder(cfg)
         with pytest.raises(DimensionMismatch):
-            embed_texts(["t"], provider, cfg)
+            embedder.encode(["t"])
 
     @pytest.mark.parametrize("content", [None, "{not json", "[[1.0, 0.0]]"])
     def test_unreadable_precomputed_file(self, tmp_path, content):
@@ -82,12 +75,21 @@ class TestEmbedTexts:
             path.write_text(content)
         cfg = EmbeddingProviderConfig(kind="precomputed-file", location=str(path), dimension=2)
         with pytest.raises(MalformedFile, match="vecs.json"):
-            build_provider(cfg)
+            Embedder(cfg)
 
     def test_empty_input_rejected(self):
-        cfg = hashed_cfg()
         with pytest.raises(ValueError):
-            embed_texts([], build_provider(cfg), cfg)
+            Embedder(hashed_cfg()).encode([])
+
+    def test_substituted_provider_is_checked(self):
+        class ZeroProvider:
+            def embed_batch(self, texts):
+                return np.zeros((len(texts), 16))
+
+        embedder = Embedder(hashed_cfg())
+        embedder.provider = ZeroProvider()
+        with pytest.raises(DimensionMismatch, match="zero vector"):
+            embedder.encode(["t"])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -128,9 +130,7 @@ class TestHttpProvider:
 
     def test_success(self):
         session = _FakeSession([_FakeResponse(200, {"vectors": [[3.0, 4.0]]})])
-        cfg = self.cfg()
-        provider = HttpEmbeddingProvider(cfg, session=session)
-        vecs = embed_texts(["t"], provider, cfg)
+        vecs = Embedder(self.cfg(), session=session).encode(["t"])
         np.testing.assert_allclose(vecs[0], [0.6, 0.8])
         assert session.calls[0]["json"] == {"texts": ["t"]}
 
@@ -183,16 +183,14 @@ class TestSimilarityMatrix:
         np.testing.assert_allclose(sim, [[0.96]], atol=1e-12)
 
     def test_unit_diagonal_and_symmetry(self):
-        cfg = hashed_cfg(8)
-        vecs = embed_texts([f"v{i}" for i in range(6)], build_provider(cfg), cfg)
+        vecs = Embedder(hashed_cfg(8)).encode([f"v{i}" for i in range(6)])
         sim = similarity_matrix(vecs, vecs)
         np.testing.assert_allclose(np.diag(sim), 1.0, atol=1e-6)
         np.testing.assert_allclose(sim, similarity_matrix(vecs, vecs).T, atol=1e-6)
         assert np.all(sim <= 1 + 1e-6) and np.all(sim >= -1 - 1e-6)
 
     def test_row_permutation(self):
-        cfg = hashed_cfg(8)
-        vecs = embed_texts([f"v{i}" for i in range(5)], build_provider(cfg), cfg)
+        vecs = Embedder(hashed_cfg(8)).encode([f"v{i}" for i in range(5)])
         perm = [3, 0, 4, 1, 2]
         sim = similarity_matrix(vecs, vecs[:2])
         np.testing.assert_array_equal(similarity_matrix(vecs[perm], vecs[:2]), sim[perm])

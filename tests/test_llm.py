@@ -179,6 +179,36 @@ class TestCacheAndLedger:
         key2 = ResponseCache.key_for({"b": "x", "a": 1})
         assert key1 == key2
 
+    def test_cache_keys_are_pinned(self):
+        # Replies cached by earlier releases are found under these keys; a
+        # change to any key payload makes every existing cache miss.
+        client = LlmClient(MockBackend(), max_parallel=1)
+        client.cache = RecordingCache()
+        client.generate(GenerationRequest(
+            "1. C opens the drawer | C opens a drawer", max_new_tokens=768, purpose_tag="rephrase", attempt=1
+        ))
+        client.generate(GenerationRequest("Summarize:\nC stirs the pot", max_new_tokens=512, purpose_tag="summarize"))
+        client.generate(GenerationRequest("Which letter? A: cooking", max_new_tokens=16, purpose_tag="qa"))
+        client.score(ScoreRequest("C stirs the pot. What is C doing ", "cooking"))
+        assert client.cache.keys == [
+            "64cdae560dcf92b391ef316c600a9794180fb839a0785f5cf7c17efe6e6607fa",
+            "b60a5899d9b28e64f3937aa81348555b4dc06dd55559bf367bf212d887d224c0",
+            "268c5eddb681b5a4b383d9067480002b8a3e7f992605f48d83e7dfbdb35c8796",
+            "b321138a6d8293db12b0abfffc29ed0ea3ece601355f6c00a50e1726644d6529",
+        ]
+
+    @pytest.mark.parametrize("cache_dir", [False, True])
+    def test_one_cache_read_per_request(self, tmp_path, cache_dir):
+        client = LlmClient(MockBackend(), max_parallel=1)
+        client.cache = CountingCache(tmp_path if cache_dir else None)
+        client.generate(req("P"))
+        client.score(ScoreRequest("pre", "cont"))
+        assert client.cache.gets == 2  # one per miss
+        client.generate(req("P"))
+        client.score(ScoreRequest("pre", "cont"))
+        assert client.cache.gets == 4  # one per hit
+        assert client.ledger.snapshot() == {"rephrase": 0, "summarize": 0, "qa": 2, "cache_hits": 2}
+
 
 class TestRequestValidation:
     def test_bad_purpose(self):
@@ -234,6 +264,15 @@ class TestHttpBackend:
         sent = backend.session.calls[0]["json"]
         assert sent["model"] == "test-model"
         assert sent["messages"] == [{"role": "user", "content": "[INST] hi [/INST]"}]
+
+    def test_requests_ask_for_greedy_decoding(self):
+        logprobs = {"token_logprobs": [None, -1.0], "text_offset": [0, 1]}
+        backend = http_backend([chat_ok("x"), _FakeResponse(200, {"choices": [{"logprobs": logprobs}]})])
+        backend.complete(req("hi", max_new_tokens=7))
+        backend.score("a", "b")
+        chat, completion = (call["json"] for call in backend.session.calls)
+        assert chat["temperature"] == 0.0 and chat["max_tokens"] == 7 and "stop" not in chat
+        assert completion["temperature"] == 0.0
 
     def test_wraps_instructions_once(self):
         backend = http_backend([chat_ok("x")])
@@ -329,6 +368,16 @@ class RecordingCache(ResponseCache):
     def put(self, key, value):
         self.keys.append(key)
         super().put(key, value)
+
+
+class CountingCache(ResponseCache):
+    def __init__(self, directory=None):
+        super().__init__(directory)
+        self.gets = 0
+
+    def get(self, key):
+        self.gets += 1
+        return super().get(key)
 
 
 def stripe_sharing_pair():

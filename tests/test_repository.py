@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import asdict
 
 import pytest
 
@@ -51,7 +52,7 @@ class TestBuildConfig:
 
     def test_dict_round_trip(self):
         cfg = BuildConfig(chunk_schedule=[3, 2], read_scales=1, include_timestamps=True)
-        assert BuildConfig.from_dict(cfg.to_dict()) == cfg
+        assert BuildConfig(**asdict(cfg)) == cfg
 
 
 class TestMergeSpans:

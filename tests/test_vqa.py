@@ -155,20 +155,6 @@ class TestAnswerLoglik:
         b = answer_loglik(["d1", "d2"], item(), "structured", LlmClient(MockBackend()))
         assert a == b
 
-    def test_length_normalization_discounts_long_options(self):
-        options = ["ab", "abcdefghijklmnopqrst"]
-        scores = {"ab": -1.0, "abcdefghijklmnopqrst": -3.0}
-
-        class ByOption(MockBackend):
-            def score(self, prefix, continuation):
-                return scores[continuation]
-
-        it = item(options=options)
-        raw = answer_loglik(["d"], it, "plain", LlmClient(ByOption()))
-        assert raw.choice_index == 0  # -1.0 beats -3.0
-        normalized = answer_loglik(["d"], it, "plain", LlmClient(ByOption()), length_normalize=True)
-        assert normalized.choice_index == 1  # -3/20 beats -1/2
-
     def test_descriptions_joined_with_newline(self):
         seen = {}
 
