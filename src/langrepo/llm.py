@@ -2,21 +2,24 @@
 
 One client fronts an OpenAI-compatible HTTP backend or a deterministic
 mock, adding retries, a content-addressed response cache, a per-purpose
-call ledger, a parallelism bound, and the one fan-out helper (map) that
-every concurrent caller goes through. The cache persists to one SQLite
-file when a directory is configured, which makes repository builds
-resumable and lets repeated runs issue zero new backend calls.
+call ledger, and one scheduler that bounds backend requests in flight and
+runs the fan-out helper (map) that every concurrent caller goes through.
+The cache persists to one SQLite file when a directory is configured,
+which makes repository builds resumable and lets repeated runs issue zero
+new backend calls.
 """
 
 from __future__ import annotations
 
 import contextvars
 import hashlib
+import heapq
+import itertools
 import json
 import re
 import threading
-from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, TypeVar
@@ -35,6 +38,10 @@ _CONTEXT_OVERFLOW = re.compile(r"context|too (?:long|many tokens)|maximum.*lengt
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+# The key of the map task running in this context: its path of item indices
+# through nested maps, e.g. (3, k) for option k of question 3.
+_TASK_KEY: contextvars.ContextVar[tuple[int, ...]] = contextvars.ContextVar("map_task_key", default=())
 
 
 @dataclass(frozen=True)
@@ -306,6 +313,136 @@ class HttpBackend:
         return total
 
 
+class _Batch:
+    """The items of one map call: results, errors, and the unfinished count."""
+
+    def __init__(self, size: int):
+        self.results: list = [None] * size
+        self.errors: list[BaseException | None] = [None] * size
+        self.remaining = size
+
+
+class _Scheduler:
+    """Worker threads, run places and backend slots shared by a client's maps.
+
+    Queued tasks wait in a heap by key, so a free run place always goes to
+    the smallest key: the oldest unfinished item's work runs first. A thread
+    gives its place up while it waits on its own map or holds a backend
+    slot, and takes it back when that ends even if the places are then
+    overdrawn; no task starts until a place is free. A slot is taken while
+    still holding the place, so queued tasks never pile up as threads that
+    wait for slots.
+
+    A thread waiting on a map runs the next task itself when that task is
+    its map's own and the only one that may start; otherwise it starts a
+    worker for each task that may start. A worker runs queued tasks until
+    none may start, then exits. No thread about to call the backend starts
+    a worker: starting a thread can take a millisecond, which would delay
+    that call.
+    """
+
+    def __init__(self, size: int):
+        self._cond = threading.Condition()
+        self._seq = itertools.count()
+        self._queue: list[tuple] = []
+        self._free_places = size
+        self._free_slots = size
+        self._slot_waiters: list[tuple[tuple[int, ...], int, threading.Event]] = []
+        self._local = threading.local()
+
+    def map(self, fn: Callable[[T], R], items: list[T]) -> list[R]:
+        parent = _TASK_KEY.get()
+        batch = _Batch(len(items))
+        tasks = [
+            ((*parent, i), next(self._seq), batch, i, contextvars.copy_context(), fn, item)
+            for i, item in enumerate(items)
+        ]
+        placed = getattr(self._local, "placed", False)
+        with self._cond:
+            for task in tasks:
+                heapq.heappush(self._queue, task)
+            self._free_places += placed
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: not batch.remaining or self._startable())
+                ready = list(iter(self._pop_startable, None))
+                if not ready:
+                    self._free_places -= placed
+                    break
+            if len(ready) == 1 and ready[0][2] is batch:
+                # The one task that may start is this map's own: run it here.
+                self._local.placed = True
+                self._run_task(ready[0], take_next=False)
+                self._local.placed = placed
+                continue
+            for task in ready:
+                threading.Thread(target=self._work, args=(task,), daemon=True).start()
+        for error in batch.errors:
+            if error is not None:
+                raise error
+        return batch.results
+
+    @contextmanager
+    def backend_slot(self) -> Iterator[None]:
+        """Hold one of the slots, released to the smallest waiting key."""
+        placed = getattr(self._local, "placed", False)
+        with self._cond:
+            if self._free_slots:
+                self._free_slots -= 1
+                granted = None
+            else:
+                granted = threading.Event()
+                heapq.heappush(self._slot_waiters, (_TASK_KEY.get(), next(self._seq), granted))
+        if granted is not None:
+            granted.wait()
+        if placed:
+            with self._cond:
+                self._free_places += 1
+                if self._startable():
+                    self._cond.notify_all()
+        try:
+            yield
+        finally:
+            with self._cond:
+                if self._slot_waiters:
+                    heapq.heappop(self._slot_waiters)[2].set()
+                else:
+                    self._free_slots += 1
+                self._free_places -= placed
+
+    def _startable(self) -> bool:
+        return bool(self._queue) and self._free_places > 0
+
+    def _pop_startable(self) -> tuple | None:
+        """The smallest queued task, taking a place for it, if one is free."""
+        if not self._startable():
+            return None
+        self._free_places -= 1
+        return heapq.heappop(self._queue)
+
+    def _work(self, task: tuple) -> None:
+        self._local.placed = True
+        while task is not None:
+            task = self._run_task(task, take_next=True)
+
+    def _run_task(self, task: tuple, take_next: bool) -> tuple | None:
+        """Run task on this thread, which holds a place for it, and give the
+        place back; with take_next, return the next task to run instead."""
+        key, _, batch, index, ctx, fn, item = task
+        ctx.run(_TASK_KEY.set, key)
+        try:
+            batch.results[index] = ctx.run(fn, item)
+        except BaseException as exc:  # raised by map in the caller's thread
+            batch.errors[index] = exc
+        with self._cond:
+            batch.remaining -= 1
+            self._free_places += 1
+            following = self._pop_startable() if take_next else None
+            if not batch.remaining or self._startable():
+                self._cond.notify_all()
+        return following
+
+
 class LlmClient:
     """Caching, counting front-end over a backend.
 
@@ -320,7 +457,7 @@ class LlmClient:
         self.cache = ResponseCache(cache_dir)
         self.ledger = CallLedger()
         self.max_parallel = max(1, max_parallel)
-        self._sem = threading.BoundedSemaphore(self.max_parallel)
+        self._scheduler = _Scheduler(self.max_parallel)
         self._inflight_lock = threading.Lock()
         self._inflight: dict[str, threading.Event] = {}
 
@@ -329,20 +466,25 @@ class LlmClient:
         return self.backend.backend_id
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """fn over every item, up to max_parallel at once; results in input order.
+        """fn over every item; results in input order.
 
-        Each call makes its own pool: calls nest (evaluate -> build or read
-        -> score), and one shared bounded pool would deadlock once outer
-        tasks held all its workers. Every task runs in a copy of the
-        caller's context, taken in the calling thread, so context variables
-        the caller set are seen by the backend calls fn makes.
+        The first error by input position is raised once every item has
+        finished. Each item runs start to end on one thread, in a copy of
+        the caller's context taken in the calling thread, so context
+        variables the caller set are seen by the backend calls fn makes.
+
+        Work runs oldest item first: an item's key is its path of indices
+        through nested maps, and a free run place goes to the smallest
+        queued key, so a question's option scores finish before the next
+        question starts. There are max_parallel run places; a thread holds
+        none while it holds a backend slot, or while it waits on its own
+        map unless it runs one of that map's items itself, so slots never
+        idle behind CPU work. Serial clients and single items run inline.
         """
         items = list(items)
         if self.max_parallel == 1 or len(items) <= 1:
             return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.max_parallel, len(items))) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
-            return [future.result() for future in futures]
+        return self._scheduler.map(fn, items)
 
     def _cached(self, key: str, purpose: str, call: Callable[[], dict]) -> dict:
         """The cached value under key, from one backend call on a miss.
@@ -368,7 +510,7 @@ class LlmClient:
                 if value is not None:
                     self.ledger.record_hit()
                     return value
-                with self._sem:
+                with self._scheduler.backend_slot():
                     value = call()
                 self.cache.put(key, value)
                 self.ledger.record_call(purpose)

@@ -93,7 +93,13 @@ class BuildConfig:
     rephrase_retries: int = 2
 
     def __post_init__(self) -> None:
-        self.chunk_schedule = [int(n) for n in self.chunk_schedule]
+        # Integers only: bool is an int subclass, and int() would round 4.7
+        # down silently.
+        if not isinstance(self.chunk_schedule, (list, tuple)) or any(
+            type(n) is not int for n in self.chunk_schedule
+        ):
+            raise ConfigError(f"chunk_schedule must be a list of integers, got {self.chunk_schedule!r}")
+        self.chunk_schedule = list(self.chunk_schedule)
         if not self.chunk_schedule:
             raise ConfigError("chunk_schedule must be non-empty")
         if any(n < 1 for n in self.chunk_schedule):
@@ -105,10 +111,10 @@ class BuildConfig:
             raise ConfigError("grouping_ratio must be in [0, 1]")
         if not 0.0 < self.dst_ratio < 1.0:
             raise ConfigError("dst_ratio must be in (0, 1)")
-        if self.read_scales is not None and self.read_scales < 1:
-            raise ConfigError("read_scales must be positive (or null for all)")
-        if self.rephrase_retries < 0:
-            raise ConfigError("rephrase_retries must be >= 0")
+        if self.read_scales is not None and (type(self.read_scales) is not int or self.read_scales < 1):
+            raise ConfigError(f"read_scales must be a positive integer or null, got {self.read_scales!r}")
+        if type(self.rephrase_retries) is not int or self.rephrase_retries < 0:
+            raise ConfigError(f"rephrase_retries must be an integer >= 0, got {self.rephrase_retries!r}")
 
 
 @dataclass

@@ -3,12 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from langrepo.cli import main
 from langrepo.config import AppConfig, load_app_config
 from langrepo.embed import EmbeddingProviderConfig
 from langrepo.errors import ConfigError, MalformedFile
 from langrepo.repository import BuildConfig, build, load, save, to_canonical_json
 
-from conftest import make_caption_set
+from conftest import make_caption_set, write_caption_file
 
 
 def write_config(tmp_path, raw) -> str:
@@ -69,6 +70,37 @@ def test_section_that_is_not_an_object_rejected(tmp_path, section):
 def test_parallelism_must_be_a_positive_integer(tmp_path, parallelism):
     with pytest.raises(ConfigError, match="parallelism"):
         load_app_config(write_config(tmp_path, {"parallelism": parallelism}))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        ({"chunk_schedule": ["x"]}, "chunk_schedule"),
+        ({"chunk_schedule": [4.7, 2]}, "chunk_schedule"),
+        ({"chunk_schedule": [4, True]}, "chunk_schedule"),
+        ({"chunk_schedule": "42"}, "chunk_schedule"),
+        ({"chunk_schedule": 4}, "chunk_schedule"),
+        ({"rephrase_retries": 1.5}, "rephrase_retries"),
+        ({"rephrase_retries": "2"}, "rephrase_retries"),
+        ({"rephrase_retries": False}, "rephrase_retries"),
+        ({"read_scales": 1.5}, "read_scales"),
+        ({"read_scales": "2"}, "read_scales"),
+        ({"read_scales": True}, "read_scales"),
+    ],
+)
+def test_build_counts_must_be_json_integers(tmp_path, build, name):
+    with pytest.raises(ConfigError, match=name):
+        load_app_config(write_config(tmp_path, {"build": build}))
+
+
+def test_build_with_non_integer_schedule_exits_2(tmp_path, capsys):
+    captions = write_caption_file(tmp_path / "vid.json", make_caption_set(12))
+    config = write_config(tmp_path, {"build": {"chunk_schedule": ["x"]}})
+    out = tmp_path / "repo.json"
+    code = main(["build", "--captions", str(captions), "--config", config, "--out", str(out)])
+    assert code == 2
+    assert "chunk_schedule" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_top_level_that_is_not_an_object_rejected(tmp_path):

@@ -504,6 +504,152 @@ class TestConcurrency:
         assert backend.seen == ["question-1"] * 9
 
 
+
+class SleepyBackend(MockBackend):
+    """Replies with the prompt after a delay, raising instead for the prompts
+    in fail_on; records the order in which calls start and the peak number
+    of calls in flight."""
+
+    def __init__(self, fail_on=(), delay_s=0.02):
+        super().__init__()
+        self.fail_on = set(fail_on)
+        self.delay_s = delay_s
+        self._lock = threading.Lock()
+        self._inflight = 0
+        self.peak = 0
+        self.finished = 0
+        self.started = []
+
+    def complete(self, req):
+        with self._lock:
+            self._inflight += 1
+            self.peak = max(self.peak, self._inflight)
+            self.started.append(req.prompt)
+        try:
+            time.sleep(self.delay_s)
+            if req.prompt in self.fail_on:
+                raise BackendUnavailable(f"no reply to {req.prompt}")
+            return req.prompt
+        finally:
+            with self._lock:
+                self._inflight -= 1
+                self.finished += 1
+
+
+class ThreadPeak:
+    """Samples threading.active_count(), less its own thread, every millisecond."""
+
+    def __enter__(self):
+        self.peak = 0
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._sample)
+        self._thread.start()
+        return self
+
+    def _sample(self):
+        while not self._stop.is_set():
+            self.peak = max(self.peak, threading.active_count() - 1)
+            time.sleep(0.001)
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join()
+
+
+def run_within(fn, timeout_s=30.0):
+    """fn() on its own thread, failing if it runs longer than timeout_s."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = fn()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout_s)
+    assert not runner.is_alive(), f"still running after {timeout_s} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+def settled_thread_count(target, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while threading.active_count() > target and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return threading.active_count()
+
+
+class TestScheduler:
+    """Nested maps of 8 outer x 5 inner items, like questions and their
+    option scores, at 20 ms per backend call."""
+
+    OUTER, INNER, P = 8, 5, 4
+
+    def nested_map(self, client, outer=OUTER):
+        return client.map(
+            lambda i: client.map(lambda k: client.generate(req(f"{i}-{k}")), range(self.INNER)),
+            range(outer),
+        )
+
+    def test_threads_and_requests_stay_bounded(self):
+        backend = SleepyBackend()
+        client = LlmClient(backend, max_parallel=self.P)
+        before = threading.active_count()
+        with ThreadPeak() as threads:
+            results = run_within(lambda: self.nested_map(client))
+        assert results == [[f"{i}-{k}" for k in range(self.INNER)] for i in range(self.OUTER)]
+        # Per run place: a running or slot-waiting task, a slot holder, and
+        # an outer item waiting on its map; plus the threads already there.
+        assert threads.peak <= 3 * self.P + before + 1  # + run_within's thread
+        assert backend.peak <= self.P
+        assert settled_thread_count(before) == before
+
+    def test_oldest_outer_item_runs_first(self):
+        backend = SleepyBackend()
+        client = LlmClient(backend, max_parallel=self.P)
+        run_within(lambda: self.nested_map(client))
+        outer = [int(prompt.split("-")[0]) for prompt in backend.started]
+        for i in range(self.OUTER):
+            starts = [n for n, o in enumerate(outer) if o == i]
+            assert len(starts) == self.INNER
+            assert starts[-1] - starts[0] < self.INNER + self.P, outer
+
+    def test_nested_failure_raises_the_first_by_position_after_every_item(self):
+        backend = SleepyBackend(fail_on={"2-3", "2-4", "5-0"})
+        client = LlmClient(backend, max_parallel=self.P)
+        before = threading.active_count()
+
+        def run():
+            try:
+                self.nested_map(client)
+            except BackendUnavailable as exc:
+                return exc, backend.finished
+
+        error, finished = run_within(run)
+        assert str(error) == "no reply to 2-3"
+        assert finished == self.OUTER * self.INNER
+        assert settled_thread_count(before) == before
+
+    def test_stress_with_fast_thread_switches(self):
+        backend = SleepyBackend(delay_s=0.0)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_within(
+                lambda: [self.nested_map(LlmClient(backend, max_parallel=self.P), outer=40) for _ in range(5)]
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [[f"{i}-{k}" for k in range(self.INNER)] for i in range(40)]
+        assert results == [expected] * 5
+        assert backend.peak <= self.P
+        assert settled_thread_count(before) == before
+
+
 def test_client_rejects_scoring_incapable_backend():
     class NoScore(MockBackend):
         supports_scoring = False
