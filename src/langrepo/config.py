@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .embed import Embedder, EmbeddingProviderConfig
-from .errors import ConfigError, MalformedFile
+from .errors import ConfigError, MalformedFile, require_int
 from .evalharness import Providers
 from .ingest import read_json_object
 from .llm import HttpBackend, LlmClient, MockBackend
@@ -52,8 +52,7 @@ class LlmSettings:
             raise ConfigError(f"llm.kind must be one of {LLM_KINDS}, got {self.kind!r}")
         if self.kind == "http" and (not self.endpoint or not self.model):
             raise ConfigError("llm.kind 'http' requires endpoint and model")
-        if self.max_retries < 0:
-            raise ConfigError("llm.max_retries must be >= 0")
+        require_int("llm.max_retries", self.max_retries, 0)
 
 
 @dataclass
@@ -67,9 +66,7 @@ class AppConfig:
     loglik_format: str = "plain"
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, and int() would round 4.5 down silently.
-        if type(self.parallelism) is not int or self.parallelism < 1:
-            raise ConfigError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
+        require_int("parallelism", self.parallelism, 1)
         if self.classifier not in CLASSIFIERS:
             raise ConfigError(f"classifier must be one of {CLASSIFIERS}")
         if self.loglik_format not in LOGLIK_FORMATS:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, MissingEmbedding, ProviderUnavailable
+from .errors import ConfigError, DimensionMismatch, MissingEmbedding, ProviderUnavailable, require_int
 from .ingest import read_json_object
 
 if TYPE_CHECKING:
@@ -46,10 +46,9 @@ class EmbeddingProviderConfig:
     def __post_init__(self) -> None:
         if self.kind not in PROVIDER_KINDS:
             raise ConfigError(f"unknown embedding provider kind {self.kind!r}")
-        if self.dimension < 1:
-            raise ConfigError("embedding dimension must be positive")
-        if self.max_text_chars < 1:
-            raise ConfigError("max_text_chars must be positive")
+        require_int("embed.dimension", self.dimension, 1)
+        require_int("embed.max_text_chars", self.max_text_chars, 1)
+        require_int("embed.max_retries", self.max_retries, 0)
         if self.kind in ("precomputed-file", "http-endpoint") and not self.location:
             raise ConfigError(f"{self.kind} provider needs a location")
 

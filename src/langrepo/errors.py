@@ -9,6 +9,13 @@ class ConfigError(LangRepoError):
     """Invalid configuration (bad schedule, ratio out of range, unknown kind)."""
 
 
+def require_int(name: str, value, minimum: int) -> None:
+    """ConfigError naming the field unless value is an int >= minimum; a bool
+    (an int subclass) and a float (int() rounds it down) are refused."""
+    if type(value) is not int or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 class MalformedFile(LangRepoError):
     """Input file does not match the expected schema or cannot be parsed."""
 

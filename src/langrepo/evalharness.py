@@ -1,11 +1,12 @@
 """Dataset loading, pipeline evaluation, and the input-length study.
 
-Three modes:
+Three modes, each run as: build a repository per video, read it (once per
+video, or per question when reads are conditioned on it), classify.
 
-* ``langrepo``: build the repository and read it once per video (the read
-  runs per question when question_conditioning is on), then classify.
-* ``llovi-whole``: one question-conditioned summary over all captions.
-* ``llovi-chunked``: question-conditioned summary per chunk, no pruning.
+* ``langrepo``: the repository the build config describes.
+* ``llovi-whole`` / ``llovi-chunked``: the LLoVi baselines, as unpruned
+  single-scale repositories of one chunk / chunk_schedule[0] chunks, read
+  with the question (see mode_config).
 
 Accuracy is computed against answer_index; items without ground truth get
 predictions but are excluded from accuracy and counted separately.
@@ -17,15 +18,16 @@ import json
 import logging
 import random
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  bench/tracing.py swaps this name
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .embed import Embedder
 from .errors import MalformedFile, MissingCaptions, OptionCountError
-from .ingest import RATE_FACTORS, CaptionSet, chunk_captions, read_json_object, transform_rate
+from .ingest import chunk_captions  # noqa: F401  bench/tracing.py wraps this name
+from .ingest import RATE_FACTORS, CaptionSet, read_json_object, transform_rate
 from .llm import PURPOSES, LlmClient
 from .prompts import render_summarize  # noqa: F401  bench/tracing.py wraps this name
-from .repository import BuildConfig, Repository, build, read_from_repo, summarize_texts
+from .repository import BuildConfig, Repository, build, read_from_repo
 from .vqa import CLASSIFIERS, Prediction, QaItem, answer_generative, answer_loglik
 
 logger = logging.getLogger(__name__)
@@ -64,22 +66,45 @@ def load_qa_dataset(path: str | Path) -> list[QaItem]:
     for i, entry in enumerate(raw["items"]):
         try:
             answer_index = entry.get("answer_index")
+            if answer_index is not None and type(answer_index) is not int:
+                raise ValueError(f"answer_index must be an integer, got {answer_index!r}")
             items.append(
                 QaItem(
                     question_id=str(entry["question_id"]),
                     video_id=str(entry["video_id"]),
                     question=str(entry["question"]),
                     options=[str(o) for o in entry["options"]],
-                    answer_index=None if answer_index is None else int(answer_index),
+                    answer_index=answer_index,
                     split_tag=entry.get("split_tag"),
                 )
             )
-        except (KeyError, TypeError, ValueError, OptionCountError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OptionCountError) as exc:
             raise MalformedFile(f"{path}: item #{i}: {exc}") from exc
     for item in items:
         if not item.generative_compatible:
             logger.info("item %s has %d options; loglik only", item.question_id, len(item.options))
     return items
+
+
+def mode_config(cfg: BuildConfig, mode: str) -> BuildConfig:
+    """The build and read settings that run mode through the repository.
+
+    langrepo uses cfg as it is. The baselines keep one scale of
+    chunk_schedule[0] chunks (one chunk for llovi-whole), prune nothing,
+    render each caption's text alone and read with the question.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "langrepo":
+        return cfg
+    n_chunks = 1 if mode == "llovi-whole" else cfg.chunk_schedule[0]
+    return replace(
+        cfg,
+        chunk_schedule=[n_chunks],
+        grouping_ratio=0.0,
+        include_timestamps=False,
+        question_conditioning=True,
+    )
 
 
 def prepare_video(
@@ -95,33 +120,16 @@ def prepare_video(
 
 def descriptions_for(
     item: QaItem,
-    captions: CaptionSet,
+    prepared: tuple[Repository, list[str] | None],
     cfg: BuildConfig,
-    mode: str,
-    providers: Providers,
-    prepared: tuple[Repository, list[str] | None] | None = None,
+    client: LlmClient,
 ) -> list[str]:
-    """The description texts a classifier sees for one item under a mode.
-
-    In langrepo mode, prepared is prepare_video's result for the item's
-    video; without it the video is prepared here.
-    """
-    client = providers.client
-    if mode == "langrepo":
-        repo, shared_read = prepared or prepare_video(captions, cfg, providers)
-        if shared_read is not None:
-            return shared_read
-        return read_from_repo(repo, cfg, item.question, client)
-    texts = [c.text for c in captions.captions]
-    if mode == "llovi-whole":
-        return [summarize_texts(texts, item.question, client)]
-    if mode == "llovi-chunked":
-        chunks = chunk_captions(captions, cfg.chunk_schedule[0])
-        return [
-            summarize_texts([c.text for c in chunk.items], item.question, client)
-            for chunk in chunks
-        ]
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    """The description texts a classifier sees for one item, given
+    prepare_video's result for the item's video."""
+    repo, shared_read = prepared
+    if shared_read is not None:
+        return shared_read
+    return read_from_repo(repo, cfg, item.question, client)
 
 
 def _ledger_delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
@@ -143,8 +151,7 @@ def evaluate(
     shuffle_seed randomizes the processing order only; predictions come back
     aligned with the input items and accuracy is unaffected.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    cfg = mode_config(cfg, mode)
     if classifier not in CLASSIFIERS:
         raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {classifier!r}")
     missing = sorted({it.video_id for it in items if it.video_id not in captions_by_video})
@@ -160,19 +167,15 @@ def evaluate(
 
     # Every video is prepared once, before any of its questions: its
     # questions then wait on nothing but their own reads and scores.
-    prepared = {}
-    if mode == "langrepo":
-        videos = list(dict.fromkeys(item.video_id for item in work))
-        ready = client.map(lambda vid: prepare_video(captions_by_video[vid], cfg, providers), videos)
-        prepared = dict(zip(videos, ready))
+    videos = list(dict.fromkeys(item.video_id for item in work))
+    ready = client.map(lambda vid: prepare_video(captions_by_video[vid], cfg, providers), videos)
+    prepared = dict(zip(videos, ready))
 
     def predict(item: QaItem) -> Prediction:
-        captions = captions_by_video[item.video_id]
-        descriptions = descriptions_for(
-            item, captions, cfg, mode, providers, prepared.get(item.video_id)
-        )
+        descriptions = descriptions_for(item, prepared[item.video_id], cfg, client)
         if classifier == "generative":
-            return answer_generative(descriptions, item, captions.duration_s, client)
+            duration_s = captions_by_video[item.video_id].duration_s
+            return answer_generative(descriptions, item, duration_s, client)
         return answer_loglik(descriptions, item, loglik_format, client)
 
     done = client.map(predict, work)

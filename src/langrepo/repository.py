@@ -20,7 +20,7 @@ import numpy as np
 
 from . import grouping
 from .embed import Embedder, similarity_matrix
-from .errors import ConfigError, CountMismatch, FormatError, MalformedFile, VersionMismatch
+from .errors import ConfigError, CountMismatch, FormatError, MalformedFile, VersionMismatch, require_int
 from .ingest import Caption, CaptionSet, Chunk, chunk_captions, chunk_items, read_json_object
 from .llm import GenerationRequest, LlmClient
 from .prompts import (
@@ -111,10 +111,9 @@ class BuildConfig:
             raise ConfigError("grouping_ratio must be in [0, 1]")
         if not 0.0 < self.dst_ratio < 1.0:
             raise ConfigError("dst_ratio must be in (0, 1)")
-        if self.read_scales is not None and (type(self.read_scales) is not int or self.read_scales < 1):
-            raise ConfigError(f"read_scales must be a positive integer or null, got {self.read_scales!r}")
-        if type(self.rephrase_retries) is not int or self.rephrase_retries < 0:
-            raise ConfigError(f"rephrase_retries must be an integer >= 0, got {self.rephrase_retries!r}")
+        if self.read_scales is not None:
+            require_int("read_scales", self.read_scales, 1)
+        require_int("rephrase_retries", self.rephrase_retries, 0)
 
 
 @dataclass
@@ -303,10 +302,7 @@ def render_description_line(d: RepoDescription, cfg: BuildConfig) -> str:
 
 
 def read_from_repo(
-    repo: Repository,
-    cfg: BuildConfig,
-    question: str | None = None,
-    client: LlmClient | None = None,
+    repo: Repository, cfg: BuildConfig, question: str | None, client: LlmClient
 ) -> list[str]:
     """Summarize every entry of the selected scales, one LLM call each.
 
@@ -314,8 +310,6 @@ def read_from_repo(
     order is scale ascending, then chunk index ascending. The question is
     included as conditioning only when cfg.question_conditioning is set.
     """
-    if client is None:
-        raise ValueError("an LLM client is required to read")
     available = len(repo.scales)
     take = available if cfg.read_scales is None else max(1, min(cfg.read_scales, available))
     condition_on = question if cfg.question_conditioning else None
@@ -324,20 +318,15 @@ def read_from_repo(
 
     def summarize(entry: RepoEntry) -> str:
         lines = [render_description_line(d, cfg) for d in entry.descriptions]
-        return summarize_texts(lines, condition_on, client)
+        return client.generate(
+            GenerationRequest(
+                prompt=render_summarize(lines, condition_on),
+                max_new_tokens=SUMMARIZE_MAX_TOKENS,
+                purpose_tag="summarize",
+            )
+        )
 
     return client.map(summarize, jobs)
-
-
-def summarize_texts(texts: list[str], question: str | None, client: LlmClient) -> str:
-    """One summarize call over texts, conditioned on the question unless it is None."""
-    return client.generate(
-        GenerationRequest(
-            prompt=render_summarize(texts, question),
-            max_new_tokens=SUMMARIZE_MAX_TOKENS,
-            purpose_tag="summarize",
-        )
-    )
 
 
 def to_canonical_json(repo: Repository) -> str:

@@ -93,6 +93,28 @@ def test_build_counts_must_be_json_integers(tmp_path, build, name):
         load_app_config(write_config(tmp_path, {"build": build}))
 
 
+@pytest.mark.parametrize(
+    "raw, name",
+    [
+        ({"llm": {"max_retries": 1.5}}, "llm.max_retries"),
+        ({"llm": {"max_retries": "2"}}, "llm.max_retries"),
+        ({"llm": {"max_retries": True}}, "llm.max_retries"),
+        ({"llm": {"max_retries": -1}}, "llm.max_retries"),
+        ({"embed": {"dimension": 16.5}}, "embed.dimension"),
+        ({"embed": {"dimension": "16"}}, "embed.dimension"),
+        ({"embed": {"dimension": True}}, "embed.dimension"),
+        ({"embed": {"max_text_chars": 300.0}}, "embed.max_text_chars"),
+        ({"embed": {"max_text_chars": 0}}, "embed.max_text_chars"),
+        ({"embed": {"max_retries": 1.5}}, "embed.max_retries"),
+        ({"embed": {"max_retries": False}}, "embed.max_retries"),
+        ({"embed": {"max_retries": -1}}, "embed.max_retries"),
+    ],
+)
+def test_provider_counts_must_be_json_integers(tmp_path, raw, name):
+    with pytest.raises(ConfigError, match=name):
+        load_app_config(write_config(tmp_path, raw))
+
+
 def test_build_with_non_integer_schedule_exits_2(tmp_path, capsys):
     captions = write_caption_file(tmp_path / "vid.json", make_caption_set(12))
     config = write_config(tmp_path, {"build": {"chunk_schedule": ["x"]}})
@@ -100,6 +122,17 @@ def test_build_with_non_integer_schedule_exits_2(tmp_path, capsys):
     code = main(["build", "--captions", str(captions), "--config", config, "--out", str(out)])
     assert code == 2
     assert "chunk_schedule" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_with_fractional_embedding_dimension_exits_2(tmp_path, capsys):
+    # numpy would otherwise die with a TypeError traceback mid-build
+    captions = write_caption_file(tmp_path / "vid.json", make_caption_set(12))
+    config = write_config(tmp_path, {"embed": {"dimension": 16.5}})
+    out = tmp_path / "repo.json"
+    code = main(["build", "--captions", str(captions), "--config", config, "--out", str(out)])
+    assert code == 2
+    assert "embed.dimension" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -13,14 +13,17 @@ from langrepo.evalharness import (
     descriptions_for,
     evaluate,
     load_qa_dataset,
+    mode_config,
+    prepare_video,
     predictions_payload,
     report_payload,
     run_length_ablation,
     write_predictions,
     write_report,
 )
-from langrepo.ingest import CaptionSet
+from langrepo.ingest import CaptionSet, chunk_captions
 from langrepo.llm import LlmClient, MockBackend
+from langrepo.prompts import render_summarize
 from langrepo.repository import BuildConfig, build, read_from_repo
 from langrepo.vqa import QaItem
 
@@ -80,6 +83,18 @@ class TestLoadQaDataset:
     def test_missing_answer_index_allowed(self, tmp_path):
         path = dataset_file(tmp_path, [qa_entry("q1", answer_index=None)])
         assert load_qa_dataset(path)[0].answer_index is None
+
+    @pytest.mark.parametrize("answer_index", [1.7, True, "1", 1.0])
+    def test_answer_index_must_be_a_json_integer(self, tmp_path, answer_index):
+        # int() would score 1.7 and true against option 1
+        entries = [qa_entry("q0"), qa_entry("q1", answer_index=answer_index)]
+        with pytest.raises(MalformedFile, match="item #1: answer_index must be an integer"):
+            load_qa_dataset(dataset_file(tmp_path, entries))
+
+    @pytest.mark.parametrize("entry", [1, "q1", ["q1"]])
+    def test_item_that_is_not_an_object_rejected(self, tmp_path, entry):
+        with pytest.raises(MalformedFile, match="item #0"):
+            load_qa_dataset(dataset_file(tmp_path, [entry]))
 
 
 class TestEvaluate:
@@ -335,19 +350,23 @@ class TestLengthAblation:
 
 
 class TestModeComparison:
-    """langrepo vs chunk-based summarization over identical inputs."""
+    """langrepo vs the LLoVi baselines over identical inputs."""
 
     def item(self):
         return QaItem(**qa_entry("q0"))
+
+    def descriptions(self, captions, cfg, mode):
+        cfg = mode_config(cfg, mode)
+        prov = providers()
+        return descriptions_for(self.item(), prepare_video(captions, cfg, prov), cfg, prov.client)
 
     def test_degenerate_config_yields_identical_summaries(self):
         # no pruning, single scale, question-conditioned reads: the repository
         # path degenerates to exactly the chunk-based baseline
         cfg = BuildConfig(chunk_schedule=[4], grouping_ratio=0.0, question_conditioning=True)
         captions = make_caption_set(12)
-        lang = descriptions_for(self.item(), captions, cfg, "langrepo", providers())
-        chunked = descriptions_for(self.item(), captions, cfg, "llovi-chunked", providers())
-        assert lang == chunked
+        lang = self.descriptions(captions, cfg, "langrepo")
+        assert lang == self.descriptions(captions, cfg, "llovi-chunked")
 
     def test_pruned_repository_feeds_fewer_characters_to_qa(self):
         # with pruning on, the summaries entering the QA prompt are strictly
@@ -355,10 +374,30 @@ class TestModeComparison:
         # their input)
         cfg = BuildConfig(chunk_schedule=[4], grouping_ratio=0.5, question_conditioning=True)
         captions = make_caption_set(60)
-        lang = descriptions_for(self.item(), captions, cfg, "langrepo", providers())
-        chunked = descriptions_for(self.item(), captions, cfg, "llovi-chunked", providers())
+        lang = self.descriptions(captions, cfg, "langrepo")
+        chunked = self.descriptions(captions, cfg, "llovi-chunked")
         assert len(lang) == len(chunked) == 4
         assert sum(map(len, lang)) < sum(map(len, chunked))
+
+    @pytest.mark.parametrize("mode, n_chunks", [("llovi-whole", 1), ("llovi-chunked", 3)])
+    def test_baseline_prompts_are_raw_caption_chunks_plus_question(self, mode, n_chunks):
+        # timestamps and pruning on, conditioning off: the baselines must
+        # override all three
+        cfg = BuildConfig(chunk_schedule=[3, 2], grouping_ratio=0.5, include_timestamps=True)
+        captions = make_caption_set(12)
+        items = [QaItem(**qa_entry(f"q{i}")) for i in range(3)]
+        prov = Providers(
+            client=CountingClient(MockBackend(), max_parallel=4),
+            embedder=Embedder(EmbeddingProviderConfig(kind="hashed", dimension=16)),
+        )
+        evaluate(items, {"vid": captions}, cfg, mode, prov)
+        expected = [
+            render_summarize([c.text for c in chunk.items], item.question)
+            for item in items
+            for chunk in chunk_captions(captions, n_chunks)
+        ]
+        assert sorted(prov.client.summarize_prompts) == sorted(expected)
+        assert prov.client.requests["rephrase"] == 0
 
 
 class TestReportFiles:

@@ -311,11 +311,6 @@ class TestReadFromRepo:
         conditioned = read_from_repo(repo, cond_cfg, "why?", mock_client)
         assert plain != conditioned  # mock output is prompt-dependent
 
-    def test_requires_client(self, hashed_embedder, mock_client):
-        repo, cfg = self.repo(hashed_embedder, mock_client)
-        with pytest.raises(ValueError):
-            read_from_repo(repo, cfg, None, None)
-
 
 class TestPersistence:
     def build_repo(self, hashed_embedder, mock_client):
