@@ -1,23 +1,10 @@
 """Application configuration: one JSON file wiring every module together.
 
-Shape (every key optional; a missing key takes its dataclass default, and
-an unknown key at any level is an error):
-
-    {
-      "llm":   {"kind": "mock" | "http", "endpoint": str, "model": str,
-                "max_retries": int, "backoff_s": num, "timeout_s": num,
-                "wrap_instructions": bool},
-      "embed": {"kind": "hashed" | "precomputed-file" | "http-endpoint",
-                "location": str, "dimension": int, "max_text_chars": int},
-      "build": {... BuildConfig fields ...},
-      "cache_dir": str | null,
-      "parallelism": int,
-      "classifier": "loglik" | "generative",
-      "loglik_format": "plain" | "structured"
-    }
-
-API keys come from the environment: LANGREPO_LLM_KEY and
-LANGREPO_EMBED_KEY. The config is validated before any network call.
+The file is an AppConfig object (README "Configuration"): every key is
+optional and takes its dataclass default when absent, and an unknown key
+at any level is an error. API keys come from the environment:
+LANGREPO_LLM_KEY and LANGREPO_EMBED_KEY. The config is validated before any
+network call.
 """
 
 from __future__ import annotations
@@ -26,9 +13,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .embed import Embedder, EmbeddingProviderConfig
-from .errors import ConfigError, MalformedFile, require_int
+from .errors import ConfigError, require_min
 from .evalharness import Providers
-from .ingest import read_json_object
+from .ingest import decode, read_json_object
 from .llm import HttpBackend, LlmClient, MockBackend
 from .prompts import LOGLIK_FORMATS
 from .repository import BuildConfig
@@ -52,7 +39,7 @@ class LlmSettings:
             raise ConfigError(f"llm.kind must be one of {LLM_KINDS}, got {self.kind!r}")
         if self.kind == "http" and (not self.endpoint or not self.model):
             raise ConfigError("llm.kind 'http' requires endpoint and model")
-        require_int("llm.max_retries", self.max_retries, 0)
+        require_min("llm.max_retries", self.max_retries, 0)
 
 
 @dataclass
@@ -66,39 +53,16 @@ class AppConfig:
     loglik_format: str = "plain"
 
     def __post_init__(self) -> None:
-        require_int("parallelism", self.parallelism, 1)
+        require_min("parallelism", self.parallelism, 1)
         if self.classifier not in CLASSIFIERS:
             raise ConfigError(f"classifier must be one of {CLASSIFIERS}")
         if self.loglik_format not in LOGLIK_FORMATS:
             raise ConfigError(f"loglik_format must be one of {LOGLIK_FORMATS}")
 
 
-# The sections of AppConfig that are objects, each built by _pick first.
-_SECTIONS = {"llm": LlmSettings, "embed": EmbeddingProviderConfig, "build": BuildConfig}
-
-
-def _pick(cls, raw: dict, context: str):
-    known = set(cls.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
-    try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad {context}: {exc}") from exc
-
-
 def load_app_config(path: str | Path) -> AppConfig:
-    try:
-        raw = read_json_object(Path(path))
-    except MalformedFile as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
-    for name, cls in _SECTIONS.items():
-        if name in raw:
-            if not isinstance(raw[name], dict):
-                raise ConfigError(f"config section {name!r} must be an object")
-            raw[name] = _pick(cls, raw[name], f"{name} settings")
-    return _pick(AppConfig, raw, "config")
+    path = Path(path)
+    return decode(AppConfig, read_json_object(path, ConfigError), str(path), ConfigError, reject_unknown=True)
 
 
 def make_client(cfg: AppConfig, cache_dir: str | None = None) -> LlmClient:

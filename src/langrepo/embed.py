@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, MissingEmbedding, ProviderUnavailable, require_int
-from .ingest import read_json_object
+from .errors import ConfigError, DimensionMismatch, MalformedFile, MissingEmbedding, ProviderUnavailable, require_min
+from .ingest import decode, read_json_object
 
 if TYPE_CHECKING:
     from .transport import Session
@@ -46,9 +46,9 @@ class EmbeddingProviderConfig:
     def __post_init__(self) -> None:
         if self.kind not in PROVIDER_KINDS:
             raise ConfigError(f"unknown embedding provider kind {self.kind!r}")
-        require_int("embed.dimension", self.dimension, 1)
-        require_int("embed.max_text_chars", self.max_text_chars, 1)
-        require_int("embed.max_retries", self.max_retries, 0)
+        require_min("embed.dimension", self.dimension, 1)
+        require_min("embed.max_text_chars", self.max_text_chars, 1)
+        require_min("embed.max_retries", self.max_retries, 0)
         if self.kind in ("precomputed-file", "http-endpoint") and not self.location:
             raise ConfigError(f"{self.kind} provider needs a location")
 
@@ -58,7 +58,13 @@ class PrecomputedFileProvider:
 
     def __init__(self, cfg: EmbeddingProviderConfig):
         self.cfg = cfg
-        table = read_json_object(Path(cfg.location), "expected an object mapping text to vector")
+        raw = read_json_object(Path(cfg.location), MalformedFile)
+        table = decode(dict[str, list[float]], raw, cfg.location, MalformedFile, reject_unknown=False)
+        for text, vec in table.items():
+            if len(vec) != cfg.dimension:
+                raise MalformedFile(
+                    f"{cfg.location}: {text[:60]!r} has {len(vec)} numbers, embed.dimension is {cfg.dimension}"
+                )
         self._table = {k: np.asarray(v, dtype=np.float64) for k, v in table.items()}
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:

@@ -9,11 +9,10 @@ class ConfigError(LangRepoError):
     """Invalid configuration (bad schedule, ratio out of range, unknown kind)."""
 
 
-def require_int(name: str, value, minimum: int) -> None:
-    """ConfigError naming the field unless value is an int >= minimum; a bool
-    (an int subclass) and a float (int() rounds it down) are refused."""
-    if type(value) is not int or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def require_min(name: str, value: int, minimum: int) -> None:
+    """ConfigError naming the field unless value >= minimum."""
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 class MalformedFile(LangRepoError):

@@ -24,7 +24,7 @@ from pathlib import Path
 from .embed import Embedder
 from .errors import MalformedFile, MissingCaptions, OptionCountError
 from .ingest import chunk_captions  # noqa: F401  bench/tracing.py wraps this name
-from .ingest import RATE_FACTORS, CaptionSet, read_json_object, transform_rate
+from .ingest import RATE_FACTORS, CaptionSet, decode, read_json_object, transform_rate
 from .llm import PURPOSES, LlmClient
 from .prompts import render_summarize  # noqa: F401  bench/tracing.py wraps this name
 from .repository import BuildConfig, Repository, build, read_from_repo
@@ -54,32 +54,18 @@ class EvalReport:
     predictions: list[Prediction] = field(default_factory=list)
 
 
+@dataclass
+class _QaDataset:
+    items: list[QaItem]
+
+
 def load_qa_dataset(path: str | Path) -> list[QaItem]:
     """Load the neutral QA schema: {"items": [{question_id, video_id,
-    question, options, answer_index?, split_tag?}, ...]}."""
+    question, options, answer_index?, split_tag?}, ...]}. Keys other than
+    these are ignored."""
     path = Path(path)
-    shape = "expected an object with an 'items' array"
-    raw = read_json_object(path, shape)
-    if not isinstance(raw.get("items"), list):
-        raise MalformedFile(f"{path}: {shape}")
-    items = []
-    for i, entry in enumerate(raw["items"]):
-        try:
-            answer_index = entry.get("answer_index")
-            if answer_index is not None and type(answer_index) is not int:
-                raise ValueError(f"answer_index must be an integer, got {answer_index!r}")
-            items.append(
-                QaItem(
-                    question_id=str(entry["question_id"]),
-                    video_id=str(entry["video_id"]),
-                    question=str(entry["question"]),
-                    options=[str(o) for o in entry["options"]],
-                    answer_index=answer_index,
-                    split_tag=entry.get("split_tag"),
-                )
-            )
-        except (AttributeError, KeyError, TypeError, ValueError, OptionCountError) as exc:
-            raise MalformedFile(f"{path}: item #{i}: {exc}") from exc
+    raw = read_json_object(path, MalformedFile)
+    items = decode(_QaDataset, raw, str(path), MalformedFile, reject_unknown=False).items
     for item in items:
         if not item.generative_compatible:
             logger.info("item %s has %d options; loglik only", item.question_id, len(item.options))
@@ -154,6 +140,10 @@ def evaluate(
     cfg = mode_config(cfg, mode)
     if classifier not in CLASSIFIERS:
         raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {classifier!r}")
+    if classifier == "generative":
+        unfit = [it.question_id for it in items if not it.generative_compatible]
+        if unfit:
+            raise OptionCountError(f"generative classifier needs exactly 5 options; items {', '.join(unfit)} differ")
     missing = sorted({it.video_id for it in items if it.video_id not in captions_by_video})
     if missing:
         raise MissingCaptions(f"no captions for video(s): {', '.join(missing)}")

@@ -1,6 +1,7 @@
-"""Caption loading, rate transforms, and temporal chunking.
+"""Caption loading, rate transforms, and temporal chunking, plus the one
+reader every JSON input goes through.
 
-A caption file is one JSON document per video:
+A caption file is one JSON document per video (other keys are ignored):
 
     {"video_id": str, "duration_s": number,
      "captions": [{"id": str, "start_s": number, "end_s": number, "text": str}, ...]}
@@ -8,27 +9,129 @@ A caption file is one JSON document per video:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
-from .errors import EmptyInput, MalformedFile, UnsupportedFactor
+from .errors import EmptyInput, LangRepoError, MalformedFile, UnsupportedFactor
 
 RATE_FACTORS = (0.5, 1.0, 2.0)
 
 
-def read_json_object(path: Path, shape: str = "top level must be an object") -> dict:
-    """Parse the JSON object in path. MalformedFile if the file cannot be read
-    or parsed, or (its message ending in shape) if it holds no object."""
+def read_json_object(path: Path, error: type[LangRepoError]) -> dict:
+    """Parse the JSON object in path; error if the file cannot be read or
+    parsed, or holds no object."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
+        raise error(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
+        raise error(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise MalformedFile(f"{path}: {shape}")
+        raise error(f"{path}: top level must be an object")
     return raw
+
+
+def decode(cls, raw, where: str, error: type[LangRepoError], *, reject_unknown: bool):
+    """Build cls from the parsed JSON value raw, checking each value against
+    its annotation: str, bool and int exactly (a bool is no int), float as a
+    finite number (an int is widened), and list[X], dict[str, X], X | None
+    and dataclasses nested. An absent key takes the field's default; an
+    unknown key is an error if reject_unknown, else ignored. A wrong value,
+    or a ValueError or LangRepoError a constructor raises, becomes error,
+    whose message starts with where and names the field."""
+    try:
+        return _converter(cls, reject_unknown)(raw)
+    except _Misfit as exc:
+        path, problem = exc.args
+        raise error(f"{where}: {path.lstrip('.')}{problem}" if path else f"{where}{problem}") from exc.__cause__
+
+
+class _Misfit(Exception):
+    """(path, problem) of a value that does not fit; the path grows as the error leaves each value."""
+
+
+def _wrong(kind: str, value) -> _Misfit:
+    shown = "an array" if type(value) is list else "an object" if type(value) is dict else json.dumps(value)[:60]
+    return _Misfit("", f" must be {kind}, got {shown}")
+
+
+_KINDS = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number"}
+
+
+@lru_cache(maxsize=None)
+def _converter(tp, reject_unknown: bool):
+    """The function that checks and builds a value of type tp, made once per type."""
+    origin, args = get_origin(tp), get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return _object_converter(tp, reject_unknown)
+    if tp in _KINDS:
+        def convert(value):
+            if type(value) is tp and (tp is not float or value - value == 0.0):  # nan and +-inf give nan
+                return value
+            if tp is float and type(value) is int and abs(value) <= sys.float_info.max:
+                return float(value)
+            raise _wrong(_KINDS[tp], value)
+    elif origin is UnionType and len(args) == 2 and args[1] is type(None):
+        inner = _converter(args[0], reject_unknown)
+        return lambda value: None if value is None else inner(value)
+    elif origin is list or origin is dict and args[0] is str:
+        item, kind = _converter(args[-1], reject_unknown), "an array" if origin is list else "an object"
+
+        def convert(value):
+            if type(value) is not origin:
+                raise _wrong(kind, value)
+            out = []
+            try:
+                for element in value if origin is list else value.values():
+                    out.append(item(element))
+            except _Misfit as exc:
+                at = len(out) if origin is list else json.dumps(list(value)[len(out)])
+                raise _Misfit(f"[{at}]{exc.args[0]}", exc.args[1]) from exc.__cause__
+            return out if origin is list else dict(zip(value, out))
+    else:
+        raise TypeError(f"decode cannot read a value of type {tp!r}")
+    return convert
+
+
+def _object_converter(cls, reject_unknown: bool):
+    hints = get_type_hints(cls)
+    # (key, converter, None or a function giving the default), in the constructor's parameter order
+    fields = [
+        (f.name, _converter(hints[f.name], reject_unknown),
+         f.default_factory if f.default_factory is not dataclasses.MISSING
+         else None if f.default is dataclasses.MISSING else lambda value=f.default: value)
+        for f in dataclasses.fields(cls)
+    ]
+    names = frozenset(name for name, _, _ in fields)
+
+    def convert(value):
+        if type(value) is not dict:
+            raise _wrong("an object", value)
+        if reject_unknown and not names.issuperset(value):
+            raise _Misfit("", f" has unknown key(s): {', '.join(sorted(set(value) - names))}")
+        args = []
+        for name, item, default in fields:
+            if name in value:
+                try:
+                    args.append(item(value[name]))
+                except _Misfit as exc:
+                    raise _Misfit(f".{name}{exc.args[0]}", exc.args[1]) from exc.__cause__
+            elif default is None:
+                raise _Misfit("." + name, " is missing")
+            else:
+                args.append(default())
+        try:
+            return cls(*args)
+        except (ValueError, LangRepoError) as exc:
+            raise _Misfit("", f": {exc}") from exc
+
+    return convert
 
 
 @dataclass(frozen=True)
@@ -87,6 +190,23 @@ class Chunk:
     items: list
 
 
+@dataclass
+class _CaptionEntry:
+    """One caption as a caption file holds it: without its video's id."""
+
+    id: str
+    start_s: float
+    end_s: float
+    text: str
+
+
+@dataclass
+class _CaptionFile:
+    video_id: str
+    duration_s: float
+    captions: list[_CaptionEntry]
+
+
 def load_captions(path: str | Path) -> CaptionSet:
     """Load and validate one caption file.
 
@@ -94,37 +214,13 @@ def load_captions(path: str | Path) -> CaptionSet:
     the file holds zero captions.
     """
     path = Path(path)
-    raw = read_json_object(path)
-    try:
-        video_id = raw["video_id"]
-        duration_s = float(raw["duration_s"])
-        entries = raw["captions"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFile(f"{path}: missing or invalid field: {exc}") from exc
-    if not isinstance(entries, list):
-        raise MalformedFile(f"{path}: 'captions' must be an array")
-    if not entries:
-        raise EmptyInput(f"{path} contains no captions")
-
-    captions = []
-    for i, entry in enumerate(entries):
-        try:
-            captions.append(
-                Caption(
-                    id=str(entry["id"]),
-                    video_id=str(video_id),
-                    start_s=float(entry["start_s"]),
-                    end_s=float(entry["end_s"]),
-                    text=str(entry["text"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedFile(f"{path}: caption #{i}: {exc}") from exc
+    doc = decode(_CaptionFile, read_json_object(path, MalformedFile), str(path), MalformedFile, reject_unknown=False)
+    captions = [Caption(c.id, doc.video_id, c.start_s, c.end_s, c.text) for c in doc.captions]
     captions.sort(key=lambda c: (c.start_s, c.id))
     try:
-        return CaptionSet(video_id=str(video_id), duration_s=duration_s, captions=captions)
-    except MalformedFile as exc:
-        raise MalformedFile(f"{path}: {exc}") from exc
+        return CaptionSet(video_id=doc.video_id, duration_s=doc.duration_s, captions=captions)
+    except (MalformedFile, EmptyInput) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def split_counts(total: int, n: int) -> list[int]:
@@ -173,16 +269,5 @@ def transform_rate(captions: CaptionSet, factor: float) -> CaptionSet:
     if factor == 0.5:
         kept = captions.captions[0::2]
         return CaptionSet(captions.video_id, captions.duration_s, kept)
-    doubled = []
-    for cap in captions.captions:
-        doubled.append(cap)
-        doubled.append(
-            Caption(
-                id=f"{cap.id}-dup",
-                video_id=cap.video_id,
-                start_s=cap.start_s,
-                end_s=cap.end_s,
-                text=cap.text,
-            )
-        )
+    doubled = [c for cap in captions.captions for c in (cap, dataclasses.replace(cap, id=f"{cap.id}-dup"))]
     return CaptionSet(captions.video_id, captions.duration_s, doubled)

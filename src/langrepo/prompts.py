@@ -53,12 +53,6 @@ class QaPromptInput:
     options: tuple[str, ...]
     duration_s: float = 0.0
 
-    def __post_init__(self) -> None:
-        if len(self.options) < 2:
-            raise OptionCountError("need at least 2 answer options")
-        if len(set(self.options)) != len(self.options):
-            raise OptionCountError("answer options must be distinct")
-
 
 @lru_cache(maxsize=None)
 def _load_asset(name: str) -> tuple[str, str]:

@@ -13,15 +13,15 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  bench/tracing.py swaps this name
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import grouping
 from .embed import Embedder, similarity_matrix
-from .errors import ConfigError, CountMismatch, FormatError, MalformedFile, VersionMismatch, require_int
-from .ingest import Caption, CaptionSet, Chunk, chunk_captions, chunk_items, read_json_object
+from .errors import ConfigError, CountMismatch, FormatError, MalformedFile, VersionMismatch, require_min
+from .ingest import Caption, CaptionSet, Chunk, chunk_captions, chunk_items, decode, read_json_object
 from .llm import GenerationRequest, LlmClient
 from .prompts import (
     GROUP_MEMBER_SEPARATOR,
@@ -52,13 +52,11 @@ class RepoDescription:
             raise ValueError("description text must be non-empty")
         if self.occurrences < 1:
             raise ValueError("occurrences must be >= 1")
-        spans = [[float(s), float(e)] for s, e in self.timestamps]
-        for s, e in spans:
+        for s, e in self.timestamps:
             if e < s:
                 raise ValueError(f"invalid span [{s}, {e}]")
-        if spans != sorted(spans):
+        if self.timestamps != sorted(self.timestamps):
             raise ValueError("timestamps must be sorted by start")
-        self.timestamps = spans
 
     @property
     def earliest_s(self) -> float:
@@ -93,13 +91,6 @@ class BuildConfig:
     rephrase_retries: int = 2
 
     def __post_init__(self) -> None:
-        # Integers only: bool is an int subclass, and int() would round 4.7
-        # down silently.
-        if not isinstance(self.chunk_schedule, (list, tuple)) or any(
-            type(n) is not int for n in self.chunk_schedule
-        ):
-            raise ConfigError(f"chunk_schedule must be a list of integers, got {self.chunk_schedule!r}")
-        self.chunk_schedule = list(self.chunk_schedule)
         if not self.chunk_schedule:
             raise ConfigError("chunk_schedule must be non-empty")
         if any(n < 1 for n in self.chunk_schedule):
@@ -112,8 +103,8 @@ class BuildConfig:
         if not 0.0 < self.dst_ratio < 1.0:
             raise ConfigError("dst_ratio must be in (0, 1)")
         if self.read_scales is not None:
-            require_int("read_scales", self.read_scales, 1)
-        require_int("rephrase_retries", self.rephrase_retries, 0)
+            require_min("read_scales", self.read_scales, 1)
+        require_min("rephrase_retries", self.rephrase_retries, 0)
 
 
 @dataclass
@@ -131,7 +122,7 @@ def _as_description(item) -> RepoDescription:
     if isinstance(item, RepoDescription):
         return item
     if isinstance(item, Caption):
-        return RepoDescription(item.text, [[item.start_s, item.end_s]], 1)
+        return RepoDescription(item.text, [[float(item.start_s), float(item.end_s)]], 1)
     raise TypeError(f"chunk items must be Caption or RepoDescription, got {type(item)!r}")
 
 
@@ -334,30 +325,13 @@ def to_canonical_json(repo: Repository) -> str:
 
     Re-serializing a loaded repository reproduces the bytes exactly.
     """
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "video_id": repo.video_id,
-        "duration_s": float(repo.duration_s),
-        "config": asdict(repo.config),
-        "provenance": dict(repo.provenance),
-        "scales": [
-            [
-                {
-                    "chunk_index": entry.chunk_index,
-                    "descriptions": [
-                        {
-                            "text": d.text,
-                            "timestamps": d.timestamps,
-                            "occurrences": d.occurrences,
-                        }
-                        for d in entry.descriptions
-                    ],
-                }
-                for entry in scale
-            ]
-            for scale in repo.scales
-        ],
-    }
+    # vars() of these dataclasses holds exactly their fields, as _SavedRepository reads them back.
+    scales = [
+        [{"chunk_index": entry.chunk_index, "descriptions": list(map(vars, entry.descriptions))} for entry in scale]
+        for scale in repo.scales
+    ]
+    payload = {"schema_version": SCHEMA_VERSION, "video_id": repo.video_id, "duration_s": float(repo.duration_s),
+               "config": vars(repo.config), "provenance": repo.provenance, "scales": scales}
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -365,43 +339,30 @@ def save(repo: Repository, path: str | Path) -> None:
     Path(path).write_text(to_canonical_json(repo), encoding="utf-8")
 
 
+@dataclass
+class _SavedEntry:
+    """A RepoEntry as saved: its scale is its position in "scales"."""
+
+    chunk_index: int
+    descriptions: list[RepoDescription]
+
+
+@dataclass
+class _SavedRepository:
+    schema_version: int
+    video_id: str
+    duration_s: float
+    config: BuildConfig
+    provenance: dict[str, str]
+    scales: list[list[_SavedEntry]]
+
+
 def load(path: str | Path) -> Repository:
     path = Path(path)
-    raw = read_json_object(path)
+    raw = read_json_object(path, MalformedFile)
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise VersionMismatch(f"{path}: schema_version {version!r}, supported {SCHEMA_VERSION}")
-    try:
-        # An unknown key raises TypeError, reported as MalformedFile below.
-        config = BuildConfig(**raw["config"])
-        scales = []
-        for scale_index, entries in enumerate(raw["scales"]):
-            scale_entries = []
-            for entry in entries:
-                descriptions = [
-                    RepoDescription(
-                        text=d["text"],
-                        timestamps=d["timestamps"],
-                        occurrences=int(d["occurrences"]),
-                    )
-                    for d in entry["descriptions"]
-                ]
-                scale_entries.append(
-                    RepoEntry(
-                        scale=scale_index,
-                        chunk_index=int(entry["chunk_index"]),
-                        descriptions=descriptions,
-                    )
-                )
-            scales.append(scale_entries)
-        return Repository(
-            video_id=str(raw["video_id"]),
-            duration_s=float(raw["duration_s"]),
-            scales=scales,
-            config=config,
-            provenance={str(k): str(v) for k, v in raw.get("provenance", {}).items()},
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFile(f"{path}: bad repository structure: {exc}") from exc
+    saved = decode(_SavedRepository, raw, str(path), MalformedFile, reject_unknown=True)
+    scales = [[RepoEntry(i, e.chunk_index, e.descriptions) for e in entries] for i, entries in enumerate(saved.scales)]
+    return Repository(saved.video_id, saved.duration_s, scales, saved.config, saved.provenance)

@@ -37,6 +37,8 @@ class QaItem:
     def __post_init__(self) -> None:
         if len(self.options) < 2:
             raise OptionCountError(f"item {self.question_id!r} needs at least 2 options")
+        if len(set(self.options)) != len(self.options):
+            raise OptionCountError(f"item {self.question_id!r}: answer options must be distinct")
         if self.answer_index is not None and not 0 <= self.answer_index < len(self.options):
             raise ValueError(f"item {self.question_id!r}: answer_index out of range")
 
@@ -72,10 +74,6 @@ def answer_generative(
     An unparseable reply triggers exactly one re-ask; if that also fails the
     prediction falls back to option 0 and is flagged.
     """
-    if len(item.options) != 5:
-        raise OptionCountError(
-            f"generative classifier needs exactly 5 options, item {item.question_id!r} has {len(item.options)}"
-        )
     prompt = render_qa_generative(_qa_input(descriptions, item, duration_s))
     raw = ""
     for attempt in range(2):

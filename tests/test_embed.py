@@ -60,13 +60,34 @@ class TestEmbedTexts:
         with pytest.raises(MissingEmbedding):
             embedder.encode(["unknown"])
 
-    def test_dimension_mismatch(self, tmp_path):
-        path = tmp_path / "vecs.json"
-        path.write_text(json.dumps({"t": [1.0, 0.0]}))
-        cfg = EmbeddingProviderConfig(kind="precomputed-file", location=str(path), dimension=3)
-        embedder = Embedder(cfg)
+    def test_dimension_mismatch(self):
+        class ShortProvider:
+            def embed_batch(self, texts):
+                return np.ones((len(texts), 2))
+
+        embedder = Embedder(EmbeddingProviderConfig(kind="hashed", dimension=3))
+        embedder.provider = ShortProvider()
         with pytest.raises(DimensionMismatch):
             embedder.encode(["t"])
+
+    @pytest.mark.parametrize(
+        "table, problem",
+        [
+            ({"t": [1.0, 0.0]}, "'t' has 2 numbers, embed.dimension is 3"),
+            ({"t": [1.0, 0.0, 0.0], "u": [1.0, 0.0]}, "'u' has 2 numbers"),
+            ({"t": ["x", 0, 0]}, r'\["t"\]\[0\] must be a finite number, got "x"'),
+            ({"t": [True, "1", 0]}, r'\["t"\]\[0\] must be a finite number, got true'),
+            ({"t": [1.0, float("nan"), 0]}, r'\["t"\]\[1\] must be a finite number, got NaN'),
+            ({"t": 1.0}, r'\["t"\] must be an array'),
+        ],
+    )
+    def test_precomputed_table_checked_at_load(self, tmp_path, table, problem):
+        # a ragged table must not reach np.stack, nor [true, "1"] embed as [1, 1]
+        path = tmp_path / "vecs.json"
+        path.write_text(json.dumps(table))
+        cfg = EmbeddingProviderConfig(kind="precomputed-file", location=str(path), dimension=3)
+        with pytest.raises(MalformedFile, match="vecs.json: .*" + problem):
+            Embedder(cfg)
 
     @pytest.mark.parametrize("content", [None, "{not json", "[[1.0, 0.0]]"])
     def test_unreadable_precomputed_file(self, tmp_path, content):

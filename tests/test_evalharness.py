@@ -7,7 +7,7 @@ import pytest
 
 from langrepo import evalharness
 from langrepo.embed import Embedder, EmbeddingProviderConfig
-from langrepo.errors import BackendUnavailable, MalformedFile, MissingCaptions
+from langrepo.errors import BackendUnavailable, MalformedFile, MissingCaptions, OptionCountError
 from langrepo.evalharness import (
     Providers,
     descriptions_for,
@@ -88,13 +88,20 @@ class TestLoadQaDataset:
     def test_answer_index_must_be_a_json_integer(self, tmp_path, answer_index):
         # int() would score 1.7 and true against option 1
         entries = [qa_entry("q0"), qa_entry("q1", answer_index=answer_index)]
-        with pytest.raises(MalformedFile, match="item #1: answer_index must be an integer"):
+        with pytest.raises(MalformedFile, match=r"items\[1\]\.answer_index must be an integer"):
             load_qa_dataset(dataset_file(tmp_path, entries))
 
     @pytest.mark.parametrize("entry", [1, "q1", ["q1"]])
     def test_item_that_is_not_an_object_rejected(self, tmp_path, entry):
-        with pytest.raises(MalformedFile, match="item #0"):
+        with pytest.raises(MalformedFile, match=r"items\[0\] must be an object"):
             load_qa_dataset(dataset_file(tmp_path, [entry]))
+
+    def test_duplicate_options_rejected_at_load(self, tmp_path):
+        # a duplicate must fail here, not after evaluate has prepared every video
+        entry = qa_entry("q1")
+        entry["options"][3] = entry["options"][1]
+        with pytest.raises(MalformedFile, match=r"qa\.json: items\[1\]: item 'q1'.*distinct"):
+            load_qa_dataset(dataset_file(tmp_path, [qa_entry("q0"), entry]))
 
 
 class TestEvaluate:
@@ -175,6 +182,14 @@ class TestEvaluate:
         )
         # mock answers "A", which is index 0 = ground truth
         assert report.overall_accuracy == 1.0
+
+    def test_generative_rejects_other_option_counts_before_any_call(self):
+        prov = providers()
+        items = self.items(2) + [QaItem(**qa_entry("q4", n_options=4)), QaItem(**qa_entry("q6", n_options=6))]
+        captions = {"vid": make_caption_set(12)}
+        with pytest.raises(OptionCountError, match="items q4, q6"):
+            evaluate(items, captions, BuildConfig(chunk_schedule=[3, 2]), "langrepo", prov, classifier="generative")
+        assert prov.client.ledger.total_calls() == 0
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -172,13 +172,6 @@ class TestLoglikPrompt:
             render_qa_loglik(qa_input(), 0, "fancy")
 
 
-def test_qa_input_validation():
-    with pytest.raises(OptionCountError):
-        qa_input(options=("only",))
-    with pytest.raises(OptionCountError):
-        qa_input(options=("dup", "dup", "x", "y", "z"))
-
-
 def test_template_version_reports_assets():
     version = template_version()
     assert "rephrase=" in version and "summarize=" in version

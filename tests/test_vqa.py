@@ -172,6 +172,10 @@ class TestQaItem:
         with pytest.raises(OptionCountError):
             item(options=["only"])
 
+    def test_duplicate_options(self):
+        with pytest.raises(OptionCountError, match="'q1'.*distinct"):
+            item(options=["dup", "dup", "x", "y", "z"])
+
     def test_answer_index_range(self):
         with pytest.raises(ValueError):
             item(answer_index=9)
