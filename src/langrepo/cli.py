@@ -64,9 +64,9 @@ def cmd_build(args) -> int:
     save_repo(repo, args.out)
     print(f"wrote {args.out}")
     print(f"video {repo.video_id}: {len(repo.scales)} scale(s)")
-    for scale in repo.scales:
+    for scale_index, scale in enumerate(repo.scales):
         n_desc = sum(len(e.descriptions) for e in scale)
-        print(f"  scale {scale[0].scale}: {len(scale)} entries, {n_desc} descriptions")
+        print(f"  scale {scale_index}: {len(scale)} entries, {n_desc} descriptions")
     print(evalharness.format_ledger(providers.client.ledger.snapshot()))
     return 0
 
@@ -165,8 +165,7 @@ def cmd_inspect(args) -> int:
     )
     print(f"video {repo.video_id} ({repo.duration_s:g}s), {len(repo.scales)} scale(s)")
     print(f"provenance: {json.dumps(repo.provenance, sort_keys=True)}")
-    for scale in repo.scales:
-        scale_index = scale[0].scale if scale else 0
+    for scale_index, scale in enumerate(repo.scales):
         if args.scale is not None and scale_index != args.scale:
             continue
         print(f"scale {scale_index}:")

@@ -102,8 +102,14 @@ class HttpEmbeddingProvider:
             )
         except transport.HttpStatusError as exc:
             raise ProviderUnavailable(str(exc)) from exc
+        where = "embedding endpoint vectors"
+        vectors = decode(list[list[float]], vectors, where, ProviderUnavailable, reject_unknown=False)
         if len(vectors) != len(batch):
             raise ProviderUnavailable(f"endpoint returned {len(vectors)} vectors for {len(batch)} texts")
+        dimension = self.cfg.dimension
+        for i, vec in enumerate(vectors):
+            if len(vec) != dimension:
+                raise DimensionMismatch(f"{where}: [{i}] has {len(vec)} numbers, embed.dimension is {dimension}")
         return vectors
 
 

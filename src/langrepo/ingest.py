@@ -5,6 +5,9 @@ A caption file is one JSON document per video (other keys are ignored):
 
     {"video_id": str, "duration_s": number,
      "captions": [{"id": str, "start_s": number, "end_s": number, "text": str}, ...]}
+
+Chunking turns each caption into a RepoDescription of one span and one
+occurrence, the item type every write of the repository takes.
 """
 
 from __future__ import annotations
@@ -179,15 +182,35 @@ class CaptionSet:
 
 
 @dataclass
-class Chunk:
-    """Contiguous slice of a video's descriptions; the unit of one write.
+class RepoDescription:
+    """One stored description: text, founding time spans, merge count."""
 
-    Items are Caption objects at scale 0 and RepoDescription objects at
-    every later scale.
-    """
+    text: str
+    timestamps: list[list[float]]
+    occurrences: int = 1
+
+    def __post_init__(self) -> None:
+        if not self.text:
+            raise ValueError("description text must be non-empty")
+        if self.occurrences < 1:
+            raise ValueError("occurrences must be >= 1")
+        for s, e in self.timestamps:
+            if e < s:
+                raise ValueError(f"invalid span [{s}, {e}]")
+        if self.timestamps != sorted(self.timestamps):
+            raise ValueError("timestamps must be sorted by start")
+
+    @property
+    def earliest_s(self) -> float:
+        return self.timestamps[0][0]
+
+
+@dataclass
+class Chunk:
+    """Contiguous slice of a video's descriptions; the unit of one write."""
 
     index: int
-    items: list
+    items: list[RepoDescription]
 
 
 @dataclass
@@ -229,15 +252,15 @@ def split_counts(total: int, n: int) -> list[int]:
     n is clamped to total, so every part is non-empty and sizes differ by
     at most one.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if total < 1 or n < 1:
+        raise ValueError(f"cannot split {total} items into {n} parts")
     n = min(n, total)
     base, rem = divmod(total, n)
     return [base + 1] * rem + [base] * (n - rem)
 
 
-def chunk_items(items: list, n: int) -> list[Chunk]:
-    """Split any ordered item list into at most ``n`` contiguous chunks."""
+def chunk_items(items: list[RepoDescription], n: int) -> list[Chunk]:
+    """Split an ordered, non-empty description list into at most ``n`` contiguous chunks."""
     chunks = []
     pos = 0
     for index, size in enumerate(split_counts(len(items), n)):
@@ -247,13 +270,14 @@ def chunk_items(items: list, n: int) -> list[Chunk]:
 
 
 def chunk_captions(captions: CaptionSet, n: int) -> list[Chunk]:
-    """Split a caption set into ``n`` non-overlapping temporal chunks.
+    """Split a caption set into ``n`` non-overlapping temporal chunks of
+    descriptions, one per caption.
 
     Chunks are near-equal in caption count; when the count does not divide
     evenly the earliest chunks take the extra caption. Fewer than n chunks
     come back when the video has fewer than n captions.
     """
-    return chunk_items(captions.captions, n)
+    return chunk_items([RepoDescription(c.text, [[float(c.start_s), float(c.end_s)]]) for c in captions.captions], n)
 
 
 def transform_rate(captions: CaptionSet, factor: float) -> CaptionSet:

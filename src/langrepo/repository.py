@@ -5,7 +5,9 @@ One write takes a chunk of descriptions, groups the most redundant ones,
 rewrites every group as a single concise sentence through one LLM call,
 and stores the result together with merged timestamps and an occurrence
 counter. Writes repeat over increasingly longer chunks (one repository
-scale per pass); reads summarize each stored entry separately.
+scale per pass): the first over the captions, which chunking turns into
+one-span descriptions, each later one over the previous scale's
+descriptions. Reads summarize each stored entry separately.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import grouping
 from .embed import Embedder, similarity_matrix
 from .errors import ConfigError, CountMismatch, FormatError, MalformedFile, VersionMismatch, require_min
-from .ingest import Caption, CaptionSet, Chunk, chunk_captions, chunk_items, decode, read_json_object
+from .ingest import CaptionSet, Chunk, RepoDescription, chunk_captions, chunk_items, decode, read_json_object
 from .llm import GenerationRequest, LlmClient
 from .prompts import (
     GROUP_MEMBER_SEPARATOR,
@@ -40,34 +42,10 @@ SUMMARIZE_MAX_TOKENS = 512
 
 
 @dataclass
-class RepoDescription:
-    """One stored description: text, founding time spans, merge count."""
-
-    text: str
-    timestamps: list[list[float]]
-    occurrences: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("description text must be non-empty")
-        if self.occurrences < 1:
-            raise ValueError("occurrences must be >= 1")
-        for s, e in self.timestamps:
-            if e < s:
-                raise ValueError(f"invalid span [{s}, {e}]")
-        if self.timestamps != sorted(self.timestamps):
-            raise ValueError("timestamps must be sorted by start")
-
-    @property
-    def earliest_s(self) -> float:
-        return self.timestamps[0][0]
-
-
-@dataclass
 class RepoEntry:
-    """All descriptions one write produced for one chunk at one scale."""
+    """All descriptions one write produced for one chunk; its scale is the
+    index of the list in Repository.scales that holds it."""
 
-    scale: int
     chunk_index: int
     descriptions: list[RepoDescription]
 
@@ -118,14 +96,6 @@ class Repository:
     provenance: dict[str, str] = field(default_factory=dict)
 
 
-def _as_description(item) -> RepoDescription:
-    if isinstance(item, RepoDescription):
-        return item
-    if isinstance(item, Caption):
-        return RepoDescription(item.text, [[float(item.start_s), float(item.end_s)]], 1)
-    raise TypeError(f"chunk items must be Caption or RepoDescription, got {type(item)!r}")
-
-
 def merge_spans(spans: list[list[float]]) -> list[list[float]]:
     """Sorted union of time spans; overlapping or touching spans coalesce."""
     merged: list[list[float]] = []
@@ -170,8 +140,8 @@ def _rephrase_groups(
 
 
 def write_to_repo(
-    chunk: Chunk, cfg: BuildConfig, embedder: Embedder, client: LlmClient, scale: int = 0,
-    *, vectors: dict[int, tuple[RepoDescription, np.ndarray]] | None = None,
+    chunk: Chunk, cfg: BuildConfig, embedder: Embedder, client: LlmClient,
+    *, vectors: dict[str, np.ndarray] | None = None,
 ) -> RepoEntry:
     """Prune one chunk and store the surviving descriptions.
 
@@ -180,27 +150,25 @@ def write_to_repo(
     The entry holds exactly p - floor(x * |src|) descriptions, ordered by
     earliest timestamp.
 
-    vectors carries unit vectors from one write to the next, keyed by the
-    id of a description and holding it, so that the id cannot be reused:
-    the chunk's items are taken out of it and are not embedded again, and
-    the passed-through descriptions go back in with their vectors.
+    vectors maps texts to their unit vectors: only texts it lacks are
+    embedded, and they are added to it. Two writes sharing it at the same
+    moment may both embed a text they share; both get the same vector.
     """
-    if not chunk.items:
+    items = chunk.items
+    if not items:
         raise ValueError("chunk must be non-empty")
-    items = [_as_description(it) for it in chunk.items]
     p = len(items)
-    known = [None] * p if vectors is None else [vectors.pop(id(it), (it, None))[1] for it in items]
+    known = {} if vectors is None else vectors
 
     groups: list[grouping.CaptionGroup] = []
     pass_through = list(range(p))
     if p >= 2:
         split_result = grouping.split(p, cfg.dst_ratio)
         if int(cfg.grouping_ratio * len(split_result.src_indices)) >= 1:
-            missing = [i for i, vec in enumerate(known) if vec is None]
+            missing = list(dict.fromkeys(d.text for d in items if d.text not in known))
             if missing:
-                for i, vec in zip(missing, embedder.encode([items[i].text for i in missing])):
-                    known[i] = vec
-            matrix = np.stack(known)
+                known.update(zip(missing, embedder.encode(missing)))
+            matrix = np.stack([known[d.text] for d in items])
             sim = similarity_matrix(
                 matrix[list(split_result.src_indices)],
                 matrix[list(split_result.dst_indices)],
@@ -216,24 +184,10 @@ def write_to_repo(
             spans = merge_spans([span for m in members for span in items[m].timestamps])
             occurrences = sum(items[m].occurrences for m in members)
             keyed.append(((spans[0][0], members[0]), RepoDescription(text, spans, occurrences)))
-    for index in pass_through:
-        item = items[index]
-        keyed.append(((item.earliest_s, index), item))
-        if vectors is not None and known[index] is not None:
-            vectors[id(item)] = (item, known[index])
+    keyed.extend(((items[index].earliest_s, index), items[index]) for index in pass_through)
 
     keyed.sort(key=lambda pair: pair[0])
-    return RepoEntry(scale=scale, chunk_index=chunk.index, descriptions=[d for _, d in keyed])
-
-
-def re_chunk(entries: list[RepoEntry], m: int) -> list[Chunk]:
-    """Concatenate a scale's descriptions in temporal order and re-split
-    into m chunks (clamped to the description count)."""
-    if not entries:
-        raise ValueError("entries must be non-empty")
-    ordered = sorted(entries, key=lambda e: e.chunk_index)
-    flat = [d for entry in ordered for d in entry.descriptions]
-    return chunk_items(flat, m)
+    return RepoEntry(chunk_index=chunk.index, descriptions=[d for _, d in keyed])
 
 
 def build(
@@ -245,16 +199,14 @@ def build(
 ) -> Repository:
     """Run every write pass of the schedule and assemble the repository."""
     scales: list[list[RepoEntry]] = []
-    # The vectors of one scale's passed-through descriptions, which are
-    # items of the next scale; chunks of a scale hold disjoint items.
-    vectors: dict[int, tuple[RepoDescription, np.ndarray]] = {}
+    vectors: dict[str, np.ndarray] = {}  # unit vectors by text, of the scale being written only
     chunks = chunk_captions(captions, cfg.chunk_schedule[0])
     for scale, n_chunks in enumerate(cfg.chunk_schedule):
         if scale > 0:
-            chunks = re_chunk(scales[-1], n_chunks)
-        entries = client.map(
-            lambda ch: write_to_repo(ch, cfg, embedder, client, scale, vectors=vectors), chunks
-        )
+            items = [d for entry in scales[-1] for d in entry.descriptions]
+            vectors = {d.text: vectors[d.text] for d in items if d.text in vectors}
+            chunks = chunk_items(items, n_chunks)
+        entries = client.map(lambda ch: write_to_repo(ch, cfg, embedder, client, vectors=vectors), chunks)
         logger.info(
             "scale %d: %d chunks -> %d descriptions",
             scale,
@@ -340,21 +292,13 @@ def save(repo: Repository, path: str | Path) -> None:
 
 
 @dataclass
-class _SavedEntry:
-    """A RepoEntry as saved: its scale is its position in "scales"."""
-
-    chunk_index: int
-    descriptions: list[RepoDescription]
-
-
-@dataclass
 class _SavedRepository:
     schema_version: int
     video_id: str
     duration_s: float
     config: BuildConfig
     provenance: dict[str, str]
-    scales: list[list[_SavedEntry]]
+    scales: list[list[RepoEntry]]
 
 
 def load(path: str | Path) -> Repository:
@@ -364,5 +308,4 @@ def load(path: str | Path) -> Repository:
     if version != SCHEMA_VERSION:
         raise VersionMismatch(f"{path}: schema_version {version!r}, supported {SCHEMA_VERSION}")
     saved = decode(_SavedRepository, raw, str(path), MalformedFile, reject_unknown=True)
-    scales = [[RepoEntry(i, e.chunk_index, e.descriptions) for e in entries] for i, entries in enumerate(saved.scales)]
-    return Repository(saved.video_id, saved.duration_s, scales, saved.config, saved.provenance)
+    return Repository(saved.video_id, saved.duration_s, saved.scales, saved.config, saved.provenance)

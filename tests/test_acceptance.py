@@ -13,14 +13,13 @@ import pytest
 from langrepo.embed import Embedder, EmbeddingProviderConfig, similarity_matrix
 from langrepo.evalharness import Providers, evaluate, write_predictions
 from langrepo.grouping import match_and_group, split
-from langrepo.ingest import Caption, Chunk, chunk_captions, transform_rate
+from langrepo.ingest import Chunk, RepoDescription, chunk_captions, chunk_items, transform_rate
 from langrepo.llm import LlmClient, MockBackend
 from langrepo.prompts import QaPromptInput, render_qa_generative, render_qa_loglik
 from langrepo.repository import (
     BuildConfig,
     build,
     load,
-    re_chunk,
     save,
     to_canonical_json,
     write_to_repo,
@@ -82,17 +81,9 @@ def test_criterion_2_description_count_law():
         p = int(rng.integers(1, 33))
         x = [0.0, 0.25, 0.5, 1.0][trial % 4]
         cfg = BuildConfig(chunk_schedule=[1], grouping_ratio=x, dst_ratio=0.25)
-        captions = [
-            Caption(
-                id=f"t{trial}c{i}",
-                video_id=f"t{trial}",
-                start_s=float(i),
-                end_s=float(i + 1),
-                text=f"actor {trial} performs step {i} variant {int(rng.integers(0, 9))}",
-            )
-            for i in range(p)
-        ]
-        entry = write_to_repo(Chunk(index=0, items=captions), cfg, embedder, client)
+        texts = [f"actor {trial} performs step {i} variant {int(rng.integers(0, 9))}" for i in range(p)]
+        items = [RepoDescription(text, [[float(i), float(i + 1)]]) for i, text in enumerate(texts)]
+        entry = write_to_repo(Chunk(index=0, items=items), cfg, embedder, client)
         if p == 1:
             expected = 1
         else:
@@ -111,21 +102,18 @@ def test_criterion_3_occurrence_conservation_and_timestamp_containment():
     providers = fresh_providers()
     repo = build(captions, cfg, providers.embedder, providers.client)
 
-    for scale in repo.scales:
+    for scale_index, scale in enumerate(repo.scales):
         total = sum(d.occurrences for entry in scale for d in entry.descriptions)
-        assert total == 60, f"scale {scale[0].scale}: occurrence sum {total}"
+        assert total == 60, f"scale {scale_index}: occurrence sum {total}"
 
     chunks = chunk_captions(captions, cfg.chunk_schedule[0])
     for scale_index, scale in enumerate(repo.scales):
         if scale_index > 0:
-            chunks = re_chunk(repo.scales[scale_index - 1], cfg.chunk_schedule[scale_index])
+            previous = [d for entry in repo.scales[scale_index - 1] for d in entry.descriptions]
+            chunks = chunk_items(previous, cfg.chunk_schedule[scale_index])
         for chunk, entry in zip(chunks, scale):
-            if scale_index == 0:
-                low = min(c.start_s for c in chunk.items)
-                high = max(c.end_s for c in chunk.items)
-            else:
-                low = min(span[0] for d in chunk.items for span in d.timestamps)
-                high = max(span[1] for d in chunk.items for span in d.timestamps)
+            low = min(span[0] for d in chunk.items for span in d.timestamps)
+            high = max(span[1] for d in chunk.items for span in d.timestamps)
             for d in entry.descriptions:
                 for start, end in d.timestamps:
                     assert low <= start <= end <= high, (
@@ -360,7 +348,7 @@ def test_criterion_9_rephrase_parser_robustness(angled_caption_set, angled_embed
     for reply in GARBAGE_REPLIES:
         client = LlmClient(MockBackend(purpose_replies={"rephrase": reply}))
         entry = write_to_repo(
-            Chunk(index=0, items=angled_caption_set.captions), fallback_cfg, angled_embedder, client
+            chunk_captions(angled_caption_set, 1)[0], fallback_cfg, angled_embedder, client
         )
         got = [d.text for d in entry.descriptions]
         assert got[0] == f"{texts[0]}; {texts[1]}"

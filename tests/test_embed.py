@@ -180,6 +180,16 @@ class TestHttpProvider:
             provider.embed_batch(["t"])
         assert len(session.calls) == 3
 
+    def test_reply_value_that_is_no_number_rejected(self):
+        session = _FakeSession([_FakeResponse(200, {"vectors": [[1.0, "x"]]})])
+        with pytest.raises(ProviderUnavailable, match=r"vectors: \[0\]\[1\] must be a finite number"):
+            Embedder(self.cfg(), session=session).encode(["t"])
+
+    def test_ragged_reply_rejected(self):
+        session = _FakeSession([_FakeResponse(200, {"vectors": [[1.0, 0.0], [1.0]]})])
+        with pytest.raises(DimensionMismatch, match=r"vectors: \[1\] has 1 numbers, embed.dimension is 2"):
+            Embedder(self.cfg(), session=session).encode(["a", "b"])
+
     def test_api_key_header(self, monkeypatch):
         monkeypatch.setenv("LANGREPO_EMBED_KEY", "sekret")
         session = _FakeSession([_FakeResponse(200, {"vectors": [[1.0, 0.0]]})])

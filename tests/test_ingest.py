@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from langrepo.errors import EmptyInput, MalformedFile, UnsupportedFactor
-from langrepo.ingest import chunk_captions, load_captions, split_counts, transform_rate
+from langrepo.ingest import RepoDescription, chunk_captions, load_captions, split_counts, transform_rate
 
 from conftest import make_caption_set, write_caption_file
 
@@ -115,7 +115,7 @@ class TestChunkCaptions:
         cs = make_caption_set(total)
         chunks = chunk_captions(cs, n)
         flattened = [item for chunk in chunks for item in chunk.items]
-        assert flattened == cs.captions
+        assert flattened == [RepoDescription(c.text, [[c.start_s, c.end_s]]) for c in cs.captions]
         sizes = [len(c.items) for c in chunks]
         assert len(chunks) == min(n, total)
         assert max(sizes) - min(sizes) <= 1
@@ -125,6 +125,10 @@ class TestChunkCaptions:
     def test_split_counts_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             split_counts(5, 0)
+
+    def test_split_counts_rejects_zero_items(self):
+        with pytest.raises(ValueError, match="cannot split 0 items"):
+            split_counts(0, 3)
 
 
 class TestTransformRate:

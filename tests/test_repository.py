@@ -1,22 +1,23 @@
+import random
 import sys
 import threading
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langrepo.embed import Embedder, EmbeddingProviderConfig, similarity_matrix
 from langrepo.errors import ConfigError, MalformedFile, VersionMismatch
 from langrepo.grouping import split
-from langrepo.ingest import Chunk, chunk_captions
+from langrepo.ingest import Caption, CaptionSet, Chunk, chunk_captions, chunk_items, split_counts
 from langrepo.llm import LlmClient, MockBackend
 from langrepo.repository import (
     BuildConfig,
     RepoDescription,
-    RepoEntry,
     build,
     load,
     merge_spans,
-    re_chunk,
     read_from_repo,
     render_description_line,
     save,
@@ -74,7 +75,7 @@ class TestWriteToRepo:
         return BuildConfig(**kw)
 
     def test_single_caption_bypasses(self, hashed_embedder, mock_client):
-        chunk = Chunk(index=0, items=make_caption_set(1).captions)
+        chunk = chunk_captions(make_caption_set(1), 1)[0]
         entry = write_to_repo(chunk, self.cfg(), hashed_embedder, mock_client)
         assert len(entry.descriptions) == 1
         d = entry.descriptions[0]
@@ -86,7 +87,7 @@ class TestWriteToRepo:
         # expected grouping comes from the reference matcher on the same
         # fixture embeddings; the default mock rephraser echoes the first
         # member of each group
-        chunk = Chunk(index=0, items=angled_caption_set.captions)
+        chunk = chunk_captions(angled_caption_set, 1)[0]
         sp = split(6, 1 / 3)
         vectors = angled_embedder.encode(ANGLED_TEXTS)
         sim = similarity_matrix(vectors[list(sp.src_indices)], vectors[list(sp.dst_indices)])
@@ -115,7 +116,7 @@ class TestWriteToRepo:
         self, angled_caption_set, angled_embedder
     ):
         client = LlmClient(MockBackend(purpose_replies={"rephrase": "garbage"}))
-        chunk = Chunk(index=0, items=angled_caption_set.captions)
+        chunk = chunk_captions(angled_caption_set, 1)[0]
         entry = write_to_repo(chunk, self.cfg(rephrase_retries=2), angled_embedder, client)
         assert client.ledger.snapshot()["rephrase"] == 3  # 1 + 2 retries
         texts = [d.text for d in entry.descriptions]
@@ -126,13 +127,13 @@ class TestWriteToRepo:
         client = LlmClient(
             MockBackend(purpose_replies={"rephrase": ["nonsense", "1. fixed a\n2. fixed b"]})
         )
-        chunk = Chunk(index=0, items=angled_caption_set.captions)
+        chunk = chunk_captions(angled_caption_set, 1)[0]
         entry = write_to_repo(chunk, self.cfg(rephrase_retries=2), angled_embedder, client)
         assert client.ledger.snapshot()["rephrase"] == 2
         assert [d.text for d in entry.descriptions][:2] == ["fixed a", "fixed b"]
 
     def test_zero_ratio_skips_llm_and_embedding(self, mock_client):
-        chunk = Chunk(index=0, items=make_caption_set(6).captions)
+        chunk = chunk_captions(make_caption_set(6), 1)[0]
 
         class ExplodingEmbedder:
             def encode(self, texts):
@@ -147,51 +148,42 @@ class TestWriteToRepo:
             write_to_repo(Chunk(index=0, items=[]), self.cfg(), hashed_embedder, mock_client)
 
 
-class TestReChunk:
-    def entries(self, sizes, scale=0):
-        out = []
-        pos = 0
-        for i, size in enumerate(sizes):
-            descs = [
-                RepoDescription(f"d{pos + j}", [[float(pos + j), float(pos + j + 1)]])
-                for j in range(size)
-            ]
-            out.append(RepoEntry(scale=scale, chunk_index=i, descriptions=descs))
-            pos += size
-        return out
+class TestChunkItems:
+    """Chunking one scale's descriptions for the next scale's writes."""
+
+    def descriptions(self, n):
+        return [RepoDescription(f"d{i}", [[float(i), float(i + 1)]]) for i in range(n)]
 
     def test_remainder_rule(self):
-        chunks = re_chunk(self.entries([3, 3, 3]), 2)
+        chunks = chunk_items(self.descriptions(9), 2)
         assert [len(c.items) for c in chunks] == [5, 4]
         assert [d.text for c in chunks for d in c.items] == [f"d{i}" for i in range(9)]
 
     def test_one_description_per_chunk(self):
-        chunks = re_chunk(self.entries([2, 2]), 4)
+        chunks = chunk_items(self.descriptions(4), 4)
         assert [len(c.items) for c in chunks] == [1, 1, 1, 1]
 
     def test_clamps_to_description_count(self):
-        chunks = re_chunk(self.entries([2, 1]), 4)
+        chunks = chunk_items(self.descriptions(3), 4)
         assert [len(c.items) for c in chunks] == [1, 1, 1]
 
-    def test_empty_entries_rejected(self):
+    def test_empty_descriptions_rejected(self):
         with pytest.raises(ValueError):
-            re_chunk([], 2)
+            chunk_items([], 2)
 
 
 class CountingEmbedder(Embedder):
+    """A hashed embedder that records every text it is asked to encode."""
+
     def __init__(self):
         super().__init__(EmbeddingProviderConfig(kind="hashed", dimension=32))
         self._lock = threading.Lock()
-        self.texts = 0
+        self.encoded: list[str] = []
 
     def encode(self, texts):
         with self._lock:
-            self.texts += len(texts)
+            self.encoded.extend(texts)
         return super().encode(texts)
-
-
-def description_value(d: RepoDescription) -> tuple:
-    return d.text, tuple(map(tuple, d.timestamps)), d.occurrences
 
 
 class TestBuild:
@@ -239,21 +231,55 @@ class TestBuild:
         captions = make_caption_set(600)
         embedder = CountingEmbedder()
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # chunks of one scale share the carried vectors
+        sys.setswitchinterval(1e-6)  # chunks of one scale share the vector memo
         try:
             repo = build(captions, BuildConfig(), embedder, LlmClient(MockBackend(), max_parallel=max_parallel))
         finally:
             sys.setswitchinterval(interval)
-        # A rephrased description has summed occurrences, so it equals no
-        # description of its scale's input; a passed-through one equals its own.
-        inputs = {description_value(RepoDescription(c.text, [[c.start_s, c.end_s]])) for c in captions.captions}
-        rephrased = 0
-        for scale in repo.scales[:2]:
-            outputs = {description_value(d) for entry in scale for d in entry.descriptions}
-            rephrased += len(outputs - inputs)
-            inputs = outputs
-        assert rephrased > 0
-        assert embedder.texts == 600 + rephrased
+        # Every write groups, so every text some write took is embedded. The
+        # mock rephraser echoes a group's first member, so rephrased
+        # descriptions bring no new texts, only new timestamps and counts.
+        written = {c.text for c in captions.captions}
+        written |= {d.text for scale in repo.scales[:-1] for entry in scale for d in entry.descriptions}
+        assert len(embedder.encoded) == len(written) == 600
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        n=st.integers(1_000, 10_000),
+        vocabulary=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        schedule=st.sampled_from([[4, 3, 2], [16, 5, 1], [7]]),
+        grouping_ratio=st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    def test_laws_on_long_videos_of_repeated_captions(self, n, vocabulary, seed, schedule, grouping_ratio):
+        rng = random.Random(seed)
+        texts = [f"C does step {k}" for k in range(vocabulary)]
+        captions = CaptionSet(
+            "long", float(n), [Caption(f"c{i}", "long", float(i), float(i + 1), rng.choice(texts)) for i in range(n)]
+        )
+        cfg = BuildConfig(chunk_schedule=schedule, grouping_ratio=grouping_ratio)
+        embedder = CountingEmbedder()
+        repo = build(captions, cfg, embedder, LlmClient(MockBackend(), max_parallel=1))
+
+        # The time spans of each item of the scale being checked, in order.
+        previous = [[[c.start_s, c.end_s]] for c in captions.captions]
+        for n_chunks, scale in zip(schedule, repo.scales):
+            sizes = split_counts(len(previous), n_chunks)
+            assert len(scale) == len(sizes)
+            pos = 0
+            for size, entry in zip(sizes, scale):
+                chunk, pos = previous[pos : pos + size], pos + size
+                merged = 0 if size < 2 else int(grouping_ratio * len(split(size, cfg.dst_ratio).src_indices))
+                assert len(entry.descriptions) == size - merged
+                low = min(spans[0][0] for spans in chunk)
+                high = max(end for spans in chunk for _, end in spans)
+                assert all(low <= s <= e <= high for d in entry.descriptions for s, e in d.timestamps)
+            descriptions = [d for entry in scale for d in entry.descriptions]
+            assert sum(d.occurrences for d in descriptions) == n
+            starts = [d.earliest_s for d in descriptions]
+            assert starts == sorted(starts)
+            previous = [d.timestamps for d in descriptions]
+        assert len(embedder.encoded) == len(set(embedder.encoded))
 
     def test_carried_vectors_leave_the_repository_unchanged(self, hashed_embedder, mock_client):
         captions = make_caption_set(600)
@@ -263,8 +289,8 @@ class TestBuild:
         chunks = chunk_captions(captions, cfg.chunk_schedule[0])
         for scale, n_chunks in enumerate(cfg.chunk_schedule):
             if scale > 0:
-                chunks = re_chunk(scales[-1], n_chunks)
-            scales.append([write_to_repo(ch, cfg, hashed_embedder, mock_client, scale) for ch in chunks])
+                chunks = chunk_items([d for entry in scales[-1] for d in entry.descriptions], n_chunks)
+            scales.append([write_to_repo(ch, cfg, hashed_embedder, mock_client) for ch in chunks])
         assert build(captions, cfg, hashed_embedder, mock_client).scales == scales
 
 
@@ -352,6 +378,5 @@ class TestPersistence:
         repo = self.build_repo(hashed_embedder, mock_client)
         path = tmp_path / "repo.json"
         save(repo, path)
-        loaded = load(path)
-        for scale_index, scale in enumerate(loaded.scales):
-            assert all(e.scale == scale_index for e in scale)
+        # An entry's scale is the position of its list in scales.
+        assert [[e.chunk_index for e in scale] for scale in load(path).scales] == [[0, 1, 2], [0, 1]]
