@@ -32,7 +32,6 @@ class LlmSettings:
     max_retries: int = 2
     backoff_s: float = 1.0
     timeout_s: float = 120.0
-    wrap_instructions: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in LLM_KINDS:
@@ -73,7 +72,6 @@ def make_client(cfg: AppConfig, cache_dir: str | None = None) -> LlmClient:
             max_retries=cfg.llm.max_retries,
             backoff_s=cfg.llm.backoff_s,
             timeout_s=cfg.llm.timeout_s,
-            wrap_instructions=cfg.llm.wrap_instructions,
         )
     else:
         backend = MockBackend()

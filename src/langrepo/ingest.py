@@ -142,7 +142,6 @@ class Caption:
     """One timestamped text unit from a captioner; the atomic input."""
 
     id: str
-    video_id: str
     start_s: float
     end_s: float
     text: str
@@ -214,20 +213,10 @@ class Chunk:
 
 
 @dataclass
-class _CaptionEntry:
-    """One caption as a caption file holds it: without its video's id."""
-
-    id: str
-    start_s: float
-    end_s: float
-    text: str
-
-
-@dataclass
 class _CaptionFile:
     video_id: str
     duration_s: float
-    captions: list[_CaptionEntry]
+    captions: list[Caption]
 
 
 def load_captions(path: str | Path) -> CaptionSet:
@@ -238,8 +227,7 @@ def load_captions(path: str | Path) -> CaptionSet:
     """
     path = Path(path)
     doc = decode(_CaptionFile, read_json_object(path, MalformedFile), str(path), MalformedFile, reject_unknown=False)
-    captions = [Caption(c.id, doc.video_id, c.start_s, c.end_s, c.text) for c in doc.captions]
-    captions.sort(key=lambda c: (c.start_s, c.id))
+    captions = sorted(doc.captions, key=lambda c: (c.start_s, c.id))
     try:
         return CaptionSet(video_id=doc.video_id, duration_s=doc.duration_s, captions=captions)
     except (MalformedFile, EmptyInput) as exc:

@@ -1,9 +1,9 @@
 """LLM transport: text generation and continuation scoring.
 
-One client fronts an OpenAI-compatible HTTP backend or a deterministic
-mock, adding retries, a content-addressed response cache, a per-purpose
-call ledger, and one scheduler that bounds backend requests in flight and
-runs the fan-out helper (map) that every concurrent caller goes through.
+One client fronts an OpenAI-compatible /completions endpoint or a
+deterministic mock, adding retries, a content-addressed response cache, a
+per-purpose call ledger, and one scheduler that bounds backend requests in
+flight and runs the fan-out helper (map) every concurrent caller goes through.
 The cache persists to one SQLite file when a directory is configured,
 which makes repository builds resumable and lets repeated runs issue zero
 new backend calls.
@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, TypeVar
 
 from .errors import BackendUnavailable, ContextOverflow, MalformedFile, ScoringUnsupported
+from .ingest import decode
 from .prompts import GROUP_MEMBER_SEPARATOR, ITEM_LINE
 
 if TYPE_CHECKING:
@@ -161,7 +162,6 @@ class MockBackend:
 
     backend_id = "mock"
     model = "mock"
-    supports_scoring = True
 
     def __init__(
         self,
@@ -217,17 +217,41 @@ class MockBackend:
         return -len(continuation) / 10.0
 
 
+@dataclass
+class _Logprobs:
+    token_logprobs: list[float | None]
+    text_offset: list[int]
+
+    def __post_init__(self) -> None:
+        if len(self.token_logprobs) != len(self.text_offset):
+            raise ValueError(f"has {len(self.token_logprobs)} token_logprobs and {len(self.text_offset)} text_offset")
+
+
+@dataclass
+class _Choice:
+    text: str
+    logprobs: _Logprobs | None = None
+
+
+@dataclass
+class _Completion:
+    choices: list[_Choice]
+
+    def __post_init__(self) -> None:
+        if not self.choices:
+            raise ValueError("choices is empty")
+
+
 class HttpBackend:
-    """OpenAI-compatible chat endpoint, with completions-based scoring.
+    """OpenAI-compatible /completions endpoint, for generation and scoring.
 
-    Generation POSTs {model, messages, temperature 0, max_tokens} to
-    <base_url>/chat/completions. Scoring POSTs the concatenated text to
-    <base_url>/completions with echo and logprobs and sums the
-    log-probabilities of the tokens whose span reaches into the
-    continuation. The API key is read from LANGREPO_LLM_KEY.
+    Generation POSTs {model, prompt, max_tokens, temperature 0} to
+    <base_url>/completions and reads choices[0].text. Scoring POSTs the
+    concatenated text with echo and logprobs and sums the log-probabilities
+    of the tokens whose span reaches into the continuation. Every reply is
+    read by ingest.decode, so a malformed one raises BackendUnavailable
+    naming the field. The API key is read from LANGREPO_LLM_KEY.
     """
-
-    supports_scoring = True
 
     def __init__(
         self,
@@ -236,31 +260,28 @@ class HttpBackend:
         max_retries: int = 2,
         backoff_s: float = 1.0,
         timeout_s: float = 120.0,
-        wrap_instructions: bool = True,
         session: Session | None = None,
     ):
         from . import transport
 
-        self.base_url = base_url.rstrip("/")
+        self.url = f"{base_url.rstrip('/')}/completions"
         self.model = model
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
-        self.wrap_instructions = wrap_instructions
         self.session = session or transport.new_session()
-        self.backend_id = f"http:{self.base_url}"
+        self.backend_id = f"http:{self.url}"
 
     def prepare_prompt(self, prompt: str) -> str:
-        if self.wrap_instructions and not prompt.startswith("[INST]"):
-            return f"[INST] {prompt} [/INST]"
-        return prompt
+        return prompt if prompt.startswith("[INST]") else f"[INST] {prompt} [/INST]"
 
-    def _post(self, path: str, body: dict) -> dict:
+    def _completion(self, body: dict) -> _Choice:
+        """The first choice of the endpoint's reply to body."""
         from . import transport
 
         try:
-            return transport.post_json(
-                self.session, f"{self.base_url}/{path}", body,
+            data = transport.post_json(
+                self.session, self.url, body,
                 key_env=LLM_KEY_ENV, auth_header="Authorization", timeout_s=self.timeout_s,
                 max_retries=self.max_retries, backoff_s=self.backoff_s,
                 label="llm backend", unavailable=BackendUnavailable,
@@ -269,19 +290,11 @@ class HttpBackend:
             if exc.status == 400 and _CONTEXT_OVERFLOW.search(exc.text):
                 raise ContextOverflow(f"backend rejected prompt as too long: {exc.text}") from exc
             raise BackendUnavailable(str(exc)) from exc
+        return decode(_Completion, data, f"{self.url} reply", BackendUnavailable, reject_unknown=False).choices[0]
 
     def complete(self, req: GenerationRequest) -> str:
-        body = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": req.prompt}],
-            "temperature": 0.0,
-            "max_tokens": req.max_new_tokens,
-        }
-        data = self._post("chat/completions", body)
-        try:
-            return data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendUnavailable(f"malformed completion response: {exc}") from exc
+        body = {"model": self.model, "prompt": req.prompt, "max_tokens": req.max_new_tokens, "temperature": 0.0}
+        return self._completion(body).text
 
     def score(self, prefix: str, continuation: str) -> float:
         body = {
@@ -292,22 +305,18 @@ class HttpBackend:
             "logprobs": 0,
             "temperature": 0.0,
         }
-        data = self._post("completions", body)
-        try:
-            lp = data["choices"][0]["logprobs"]
-            token_logprobs = lp["token_logprobs"]
-            offsets = lp["text_offset"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ScoringUnsupported(f"endpoint returned no echo logprobs: {exc}") from exc
+        logprobs = self._completion(body).logprobs
+        if logprobs is None:
+            raise ScoringUnsupported(f"{self.url} returned no echo logprobs")
         # A token belongs to the continuation when its span ends past the
         # prefix: BPE and SentencePiece tokenizers attach the prefix's
         # trailing space to the next word, so that token starts before the
         # boundary. A span ends where the next token starts, the last one at
         # the end of the text.
         boundary = len(prefix)
-        ends = [*offsets[1:], len(prefix) + len(continuation)]
+        ends = [*logprobs.text_offset[1:], len(prefix) + len(continuation)]
         total = 0.0
-        for logprob, end in zip(token_logprobs, ends):
+        for logprob, end in zip(logprobs.token_logprobs, ends):
             if end > boundary and logprob is not None:
                 total += logprob
         return total
@@ -544,8 +553,6 @@ class LlmClient:
         return value["text"]
 
     def score(self, req: ScoreRequest) -> float:
-        if not getattr(self.backend, "supports_scoring", False):
-            raise ScoringUnsupported(f"backend {self.backend.backend_id} cannot score")
         key = ResponseCache.key_for(
             {
                 "kind": "score",

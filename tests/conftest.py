@@ -1,6 +1,8 @@
 import json
 import math
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,6 @@ def make_caption_set(n: int, video_id: str = "vid", span_s: float = 1.0) -> Capt
     captions = [
         Caption(
             id=f"c{i:03d}",
-            video_id=video_id,
             start_s=i * span_s,
             end_s=(i + 1) * span_s,
             text=f"person does action {i} near object {i % 7}",
@@ -24,6 +25,14 @@ def make_caption_set(n: int, video_id: str = "vid", span_s: float = 1.0) -> Capt
         for i in range(n)
     ]
     return CaptionSet(video_id=video_id, duration_s=n * span_s, captions=captions)
+
+
+def settled_thread_count(target, timeout_s=5.0):
+    """The thread count once it falls to target, or after timeout_s."""
+    deadline = time.monotonic() + timeout_s
+    while threading.active_count() > target and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return threading.active_count()
 
 
 @pytest.fixture
@@ -66,7 +75,7 @@ def angled_vectors() -> dict[str, list[float]]:
 @pytest.fixture
 def angled_caption_set() -> CaptionSet:
     captions = [
-        Caption(id=f"a{i}", video_id="angled", start_s=float(i), end_s=float(i + 1), text=text)
+        Caption(id=f"a{i}", start_s=float(i), end_s=float(i + 1), text=text)
         for i, text in enumerate(ANGLED_TEXTS)
     ]
     return CaptionSet(video_id="angled", duration_s=6.0, captions=captions)

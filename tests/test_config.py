@@ -51,6 +51,7 @@ def test_every_key_set(tmp_path):
     [
         ({"parallel": 4}, r"config\.json has unknown key\(s\): parallel"),
         ({"llm": {"kind": "mock", "temperature": 0.5}}, r"json: llm has unknown key\(s\): temperature"),
+        ({"llm": {"kind": "mock", "wrap_instructions": True}}, r"json: llm has unknown key\(s\): wrap_instructions"),
         ({"embed": {"kind": "hashed", "dim": 8}}, r"json: embed has unknown key\(s\): dim"),
         ({"build": {"read_scale": 1}}, r"json: build has unknown key\(s\): read_scale"),
     ],

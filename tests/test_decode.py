@@ -34,7 +34,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 CONFIG = {
     "llm": {"kind": "mock", "endpoint": "http://x", "model": "m", "max_retries": 2,
-            "backoff_s": 1.0, "timeout_s": 120.0, "wrap_instructions": True},
+            "backoff_s": 1.0, "timeout_s": 120.0},
     "embed": {"kind": "hashed", "location": "", "dimension": 16, "max_text_chars": 300,
               "auth_header": "Authorization", "timeout_s": 30.0, "max_retries": 2, "backoff_s": 1.0},
     "build": {"chunk_schedule": [3, 2], "grouping_ratio": 0.5, "dst_ratio": 0.25, "read_scales": 1,
@@ -248,7 +248,6 @@ PROBES = [
     ("repository", lambda d: d["scales"][1][0]["descriptions"][0].update(text=5),
      "scales[1][0].descriptions[0].text"),
     ("config", lambda d: d["build"].update(include_timestamps="yes"), "build.include_timestamps"),
-    ("config", lambda d: d["llm"].update(wrap_instructions="no"), "llm.wrap_instructions"),
     ("config", lambda d: d["llm"].update(timeout_s="x"), "llm.timeout_s"),
     ("config", lambda d: d["build"].update(grouping_ratio=True), "build.grouping_ratio"),
     ("config", lambda d: d.update(cache_dir=5), "cache_dir"),

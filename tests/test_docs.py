@@ -1,11 +1,16 @@
-"""README's "Library use" section runs as written and documents the package's exports."""
+"""README's "Library use" section runs as written and documents the package's
+exports, and its "Configuration" block lists every key a config accepts."""
 
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import langrepo
+from langrepo.config import AppConfig, LlmSettings
+from langrepo.embed import EmbeddingProviderConfig
+from langrepo.repository import BuildConfig
 
 from conftest import make_caption_set, write_caption_file
 
@@ -37,3 +42,13 @@ def test_submodules_resolve_after_importing_the_package():
     modules = ["embed", "errors", "evalharness", "grouping", "ingest", "llm", "prompts", "repository", "vqa"]
     code = f"import langrepo; [getattr(langrepo, m) for m in {modules!r}]"
     subprocess.run([sys.executable, "-c", code], check=True, cwd=Path(langrepo.__file__).parents[1])
+
+
+def test_config_block_lists_every_accepted_key():
+    text = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    block = re.sub(r"//[^\n]*", "", re.search(r"```jsonc\n(.*?)```", text, re.S).group(1)).strip()
+    keys = re.compile(r'"(\w+)":')
+    sections = {name: sorted(keys.findall(body)) for name, body in re.findall(r'"(\w+)":\s*\{(.*?)\}', block, re.S)}
+    sections["top level"] = sorted(keys.findall(re.sub(r"\{[^{}]*\}", "", block[1:-1])))
+    accepted = {"top level": AppConfig, "llm": LlmSettings, "embed": EmbeddingProviderConfig, "build": BuildConfig}
+    assert sections == {name: sorted(f.name for f in fields(cls)) for name, cls in accepted.items()}

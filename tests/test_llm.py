@@ -21,6 +21,8 @@ from langrepo.llm import (
     ScoreRequest,
 )
 
+from conftest import settled_thread_count
+
 
 def _fill_cache(directory, indices, start):
     try:
@@ -252,36 +254,40 @@ def http_backend(responses, **kw):
     )
 
 
-def chat_ok(content):
-    return _FakeResponse(200, {"choices": [{"message": {"content": content}}]})
+def text_ok(text):
+    return _FakeResponse(200, {"choices": [{"text": text}]})
+
+
+def logprobs_ok(token_logprobs, text_offset):
+    logprobs = {"token_logprobs": token_logprobs, "text_offset": text_offset}
+    return _FakeResponse(200, {"choices": [{"text": "ab", "logprobs": logprobs}]})
 
 
 class TestHttpBackend:
     def test_complete_parses_content(self):
-        backend = http_backend([chat_ok("hello")])
+        backend = http_backend([text_ok("hello")])
         client = LlmClient(backend)
         assert client.generate(req("hi")) == "hello"
-        sent = backend.session.calls[0]["json"]
-        assert sent["model"] == "test-model"
-        assert sent["messages"] == [{"role": "user", "content": "[INST] hi [/INST]"}]
+        call = backend.session.calls[0]
+        assert call["url"] == "http://llm.test/v1/completions"
+        assert call["json"] == {"model": "test-model", "prompt": "[INST] hi [/INST]", "max_tokens": 512, "temperature": 0.0}
+        assert backend.backend_id == "http:http://llm.test/v1/completions"
 
     def test_requests_ask_for_greedy_decoding(self):
-        logprobs = {"token_logprobs": [None, -1.0], "text_offset": [0, 1]}
-        backend = http_backend([chat_ok("x"), _FakeResponse(200, {"choices": [{"logprobs": logprobs}]})])
+        backend = http_backend([text_ok("x"), logprobs_ok([None, -1.0], [0, 1])])
         backend.complete(req("hi", max_new_tokens=7))
         backend.score("a", "b")
-        chat, completion = (call["json"] for call in backend.session.calls)
-        assert chat["temperature"] == 0.0 and chat["max_tokens"] == 7 and "stop" not in chat
-        assert completion["temperature"] == 0.0
+        generation, scoring = (call["json"] for call in backend.session.calls)
+        assert generation["temperature"] == 0.0 and generation["max_tokens"] == 7 and "stop" not in generation
+        assert scoring == {
+            "model": "test-model", "prompt": "ab", "max_tokens": 0, "echo": True, "logprobs": 0, "temperature": 0.0,
+        }
+        assert {call["url"] for call in backend.session.calls} == {"http://llm.test/v1/completions"}
 
     def test_wraps_instructions_once(self):
-        backend = http_backend([chat_ok("x")])
+        backend = http_backend([text_ok("x")])
         assert backend.prepare_prompt("[INST] already [/INST]") == "[INST] already [/INST]"
         assert backend.prepare_prompt("plain") == "[INST] plain [/INST]"
-
-    def test_no_wrap_when_disabled(self):
-        backend = http_backend([chat_ok("x")], wrap_instructions=False)
-        assert backend.prepare_prompt("plain") == "plain"
 
     def test_three_500s_exhaust_retries(self):
         backend = http_backend([_FakeResponse(500), _FakeResponse(500), _FakeResponse(500)])
@@ -290,11 +296,11 @@ class TestHttpBackend:
         assert len(backend.session.calls) == 3
 
     def test_recovers_on_second_attempt(self):
-        backend = http_backend([_FakeResponse(500), chat_ok("ok")])
+        backend = http_backend([_FakeResponse(500), text_ok("ok")])
         assert backend.complete(req("hi")) == "ok"
 
     def test_recovers_after_rate_limit(self):
-        backend = http_backend([_FakeResponse(429, text="slow down"), chat_ok("ok")])
+        backend = http_backend([_FakeResponse(429, text="slow down"), text_ok("ok")])
         assert backend.complete(req("hi")) == "ok"
         assert len(backend.session.calls) == 2
 
@@ -313,7 +319,7 @@ class TestHttpBackend:
 
     def test_api_key_header(self, monkeypatch):
         monkeypatch.setenv("LANGREPO_LLM_KEY", "sekret")
-        backend = http_backend([chat_ok("x")])
+        backend = http_backend([text_ok("x")])
         backend.complete(req("hi"))
         assert backend.session.calls[0]["headers"]["Authorization"] == "Bearer sekret"
 
@@ -321,6 +327,7 @@ class TestHttpBackend:
         payload = {
             "choices": [
                 {
+                    "text": "abcabcdefdef",
                     "logprobs": {
                         "token_logprobs": [None, -1.0, -2.0, -3.0],
                         "text_offset": [0, 3, 6, 9],
@@ -341,6 +348,7 @@ class TestHttpBackend:
         payload = {
             "choices": [
                 {
+                    "text": "... Question cooking",
                     "logprobs": {
                         "token_logprobs": [None, -1.0, -2.0, -0.5],
                         "text_offset": [0, 3, 12, 17],
@@ -355,6 +363,36 @@ class TestHttpBackend:
         backend = http_backend([_FakeResponse(200, {"choices": [{"text": "x"}]})])
         with pytest.raises(ScoringUnsupported):
             backend.score("a", "b")
+
+
+# Replies that do not fit the completions schema: (request kind, the bad
+# reply, what the error names). Each one raises BackendUnavailable, is not
+# cached, and a second identical request reaches the endpoint again.
+MALFORMED_REPLIES = [
+    ("generate", text_ok(None), "choices[0].text"),
+    ("generate", _FakeResponse(200, {"choices": []}), "choices is empty"),
+    ("generate", _FakeResponse(200, {"choice": [{"text": "x"}]}), "choices is missing"),
+    ("score", logprobs_ok([None, "-1.0"], [0, 1]), "choices[0].logprobs.token_logprobs[1]"),
+    ("score", logprobs_ok([None, -1.0], [0, "1"]), "choices[0].logprobs.text_offset[1]"),
+    ("score", logprobs_ok([None, -1.0, -3.0], [0, 1]), "3 token_logprobs and 2 text_offset"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, reply, named", MALFORMED_REPLIES, ids=[f"{kind}-{named}" for kind, _, named in MALFORMED_REPLIES]
+)
+def test_malformed_reply_raises_naming_the_field_and_is_not_cached(kind, reply, named):
+    good = text_ok("fine") if kind == "generate" else logprobs_ok([None, -1.0], [0, 1])
+    backend = http_backend([reply, good])
+    client = LlmClient(backend)
+
+    def ask():
+        return client.generate(req("hi")) if kind == "generate" else client.score(ScoreRequest("a", "b"))
+
+    with pytest.raises(BackendUnavailable, match=re.escape(named)):
+        ask()
+    assert ask() == ("fine" if kind == "generate" else -1.0)
+    assert len(backend.session.calls) == 2
 
 
 REQUEST_ID = contextvars.ContextVar("request_id", default=None)
@@ -575,13 +613,6 @@ def run_within(fn, timeout_s=30.0):
     return outcome["result"]
 
 
-def settled_thread_count(target, timeout_s=5.0):
-    deadline = time.monotonic() + timeout_s
-    while threading.active_count() > target and time.monotonic() < deadline:
-        time.sleep(0.005)
-    return threading.active_count()
-
-
 class TestScheduler:
     """Nested maps of 8 outer x 5 inner items, like questions and their
     option scores, at 20 ms per backend call."""
@@ -648,15 +679,6 @@ class TestScheduler:
         assert results == [expected] * 5
         assert backend.peak <= self.P
         assert settled_thread_count(before) == before
-
-
-def test_client_rejects_scoring_incapable_backend():
-    class NoScore(MockBackend):
-        supports_scoring = False
-
-    client = LlmClient(NoScore())
-    with pytest.raises(ScoringUnsupported):
-        client.score(ScoreRequest("a", "b"))
 
 
 def test_ledger_snapshot_is_copy():

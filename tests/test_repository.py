@@ -255,7 +255,7 @@ class TestBuild:
         rng = random.Random(seed)
         texts = [f"C does step {k}" for k in range(vocabulary)]
         captions = CaptionSet(
-            "long", float(n), [Caption(f"c{i}", "long", float(i), float(i + 1), rng.choice(texts)) for i in range(n)]
+            "long", float(n), [Caption(f"c{i}", float(i), float(i + 1), rng.choice(texts)) for i in range(n)]
         )
         cfg = BuildConfig(chunk_schedule=schedule, grouping_ratio=grouping_ratio)
         embedder = CountingEmbedder()

@@ -25,7 +25,7 @@ OFFLINE_RUN = textwrap.dedent(
     from langrepo.vqa import QaItem
 
     captions = CaptionSet("v", 12.0, [
-        Caption(f"c{i}", "v", float(i), i + 1.0, f"person does action {i % 4}") for i in range(12)
+        Caption(f"c{i}", float(i), i + 1.0, f"person does action {i % 4}") for i in range(12)
     ])
     items = [QaItem("q0", "v", "What happens?", ["a", "b", "c", "d", "e"], 0)]
     report = evaluate(items, {"v": captions}, BuildConfig(chunk_schedule=[3, 2]), "langrepo",
