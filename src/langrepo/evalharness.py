@@ -22,10 +22,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .embed import Embedder
-from .errors import MalformedFile, MissingCaptions, OptionCountError
+from .errors import MalformedFile, MissingCaptions, OptionCountError, UnsupportedFactor
 from .ingest import chunk_captions  # noqa: F401  bench/tracing.py wraps this name
 from .ingest import RATE_FACTORS, CaptionSet, decode, read_json_object, transform_rate
 from .llm import PURPOSES, LlmClient
+from .prompts import LOGLIK_FORMATS
 from .prompts import render_summarize  # noqa: F401  bench/tracing.py wraps this name
 from .repository import BuildConfig, Repository, build, read_from_repo
 from .vqa import CLASSIFIERS, Prediction, QaItem, answer_generative, answer_loglik
@@ -140,6 +141,8 @@ def evaluate(
     cfg = mode_config(cfg, mode)
     if classifier not in CLASSIFIERS:
         raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {classifier!r}")
+    if loglik_format not in LOGLIK_FORMATS:
+        raise ValueError(f"loglik_format must be one of {LOGLIK_FORMATS}, got {loglik_format!r}")
     if classifier == "generative":
         unfit = [it.question_id for it in items if not it.generative_compatible]
         if unfit:
@@ -210,7 +213,10 @@ def run_length_ablation(
     classifier: str = "loglik",
     loglik_format: str = "plain",
 ) -> dict[float, EvalReport]:
-    """Evaluate once per rate factor, transforming every caption set first."""
+    """Check every factor, then evaluate once per factor on the transformed caption sets."""
+    unsupported = [factor for factor in factors if factor not in RATE_FACTORS]
+    if unsupported:
+        raise UnsupportedFactor(f"factor must be one of {RATE_FACTORS}, got {unsupported[0]}")
     reports = {}
     for factor in factors:
         transformed = {

@@ -78,30 +78,23 @@ class ScoreRequest:
 
 
 class CallLedger:
-    """Thread-safe counters of backend calls per purpose, plus cache hits."""
+    """Thread-safe counts of backend calls per purpose and of "cache_hits"."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.counters = {purpose: 0 for purpose in PURPOSES}
-        self.cache_hits = 0
+        self._counts = dict.fromkeys((*PURPOSES, "cache_hits"), 0)
 
-    def record_call(self, purpose: str) -> None:
+    def record(self, name: str) -> None:
         with self._lock:
-            self.counters[purpose] += 1
-
-    def record_hit(self) -> None:
-        with self._lock:
-            self.cache_hits += 1
+            self._counts[name] += 1
 
     def total_calls(self) -> int:
         with self._lock:
-            return sum(self.counters.values())
+            return sum(self._counts[purpose] for purpose in PURPOSES)
 
     def snapshot(self) -> dict[str, int]:
         with self._lock:
-            snap = dict(self.counters)
-            snap["cache_hits"] = self.cache_hits
-            return snap
+            return dict(self._counts)
 
 
 class ResponseCache:
@@ -275,10 +268,11 @@ class HttpBackend:
     def prepare_prompt(self, prompt: str) -> str:
         return prompt if prompt.startswith("[INST]") else f"[INST] {prompt} [/INST]"
 
-    def _completion(self, body: dict) -> _Choice:
-        """The first choice of the endpoint's reply to body."""
+    def _completion(self, prompt: str, max_tokens: int, **extra) -> _Choice:
+        """The first choice of the endpoint's reply to prompt at temperature 0."""
         from . import transport
 
+        body = {"model": self.model, "prompt": prompt, "max_tokens": max_tokens, **extra, "temperature": 0.0}
         try:
             data = transport.post_json(
                 self.session, self.url, body,
@@ -293,19 +287,10 @@ class HttpBackend:
         return decode(_Completion, data, f"{self.url} reply", BackendUnavailable, reject_unknown=False).choices[0]
 
     def complete(self, req: GenerationRequest) -> str:
-        body = {"model": self.model, "prompt": req.prompt, "max_tokens": req.max_new_tokens, "temperature": 0.0}
-        return self._completion(body).text
+        return self._completion(req.prompt, req.max_new_tokens).text
 
     def score(self, prefix: str, continuation: str) -> float:
-        body = {
-            "model": self.model,
-            "prompt": prefix + continuation,
-            "max_tokens": 0,
-            "echo": True,
-            "logprobs": 0,
-            "temperature": 0.0,
-        }
-        logprobs = self._completion(body).logprobs
+        logprobs = self._completion(prefix + continuation, 0, echo=True, logprobs=0).logprobs
         if logprobs is None:
             raise ScoringUnsupported(f"{self.url} returned no echo logprobs")
         # A token belongs to the continuation when its span ends past the
@@ -332,22 +317,18 @@ class _Batch:
 
 
 class _Scheduler:
-    """Worker threads, run places and backend slots shared by a client's maps.
+    """Task threads, run places and backend slots shared by a client's maps.
 
     Queued tasks wait in a heap by key, so a free run place always goes to
-    the smallest key: the oldest unfinished item's work runs first. A thread
-    gives its place up while it waits on its own map or holds a backend
-    slot, and takes it back when that ends even if the places are then
-    overdrawn; no task starts until a place is free. A slot is taken while
-    still holding the place, so queued tasks never pile up as threads that
-    wait for slots.
-
-    A thread waiting on a map runs the next task itself when that task is
-    its map's own and the only one that may start; otherwise it starts a
-    worker for each task that may start. A worker runs queued tasks until
-    none may start, then exits. No thread about to call the backend starts
-    a worker: starting a thread can take a millisecond, which would delay
-    that call.
+    the smallest key: the oldest unfinished item's work runs first. Each
+    task that may start gets a place and a new thread that runs just that
+    task, gives the place back and exits. A thread gives its place up while
+    it waits on its own map or holds a backend slot, and takes it back when
+    that ends even if the places are then overdrawn; no task starts until a
+    place is free. A slot is taken while still holding the place, so queued
+    tasks never pile up as threads that wait for slots. Only a thread
+    waiting in map starts threads, so no thread about to call the backend
+    starts one: that can take a millisecond, which would delay the call.
     """
 
     def __init__(self, size: int):
@@ -378,14 +359,8 @@ class _Scheduler:
                 if not ready:
                     self._free_places -= placed
                     break
-            if len(ready) == 1 and ready[0][2] is batch:
-                # The one task that may start is this map's own: run it here.
-                self._local.placed = True
-                self._run_task(ready[0], take_next=False)
-                self._local.placed = placed
-                continue
             for task in ready:
-                threading.Thread(target=self._work, args=(task,), daemon=True).start()
+                threading.Thread(target=self._run_task, args=(task,), daemon=True).start()
         for error in batch.errors:
             if error is not None:
                 raise error
@@ -429,14 +404,9 @@ class _Scheduler:
         self._free_places -= 1
         return heapq.heappop(self._queue)
 
-    def _work(self, task: tuple) -> None:
+    def _run_task(self, task: tuple) -> None:
+        """Run task on this new thread, which holds its place, then give the place back."""
         self._local.placed = True
-        while task is not None:
-            task = self._run_task(task, take_next=True)
-
-    def _run_task(self, task: tuple, take_next: bool) -> tuple | None:
-        """Run task on this thread, which holds a place for it, and give the
-        place back; with take_next, return the next task to run instead."""
         key, _, batch, index, ctx, fn, item = task
         ctx.run(_TASK_KEY.set, key)
         try:
@@ -446,19 +416,18 @@ class _Scheduler:
         with self._cond:
             batch.remaining -= 1
             self._free_places += 1
-            following = self._pop_startable() if take_next else None
             if not batch.remaining or self._startable():
                 self._cond.notify_all()
-        return following
 
 
 class LlmClient:
     """Caching, counting front-end over a backend.
 
-    Identical requests are answered from the cache without touching the
-    backend. Concurrent requests for one key collapse into a single cache
-    read and, on a miss, a single backend call; requests for different keys
-    never wait for each other beyond the max_parallel bound on backend calls.
+    generate and score both answer through _cached: identical requests come
+    from the cache without touching the backend, and concurrent ones for a
+    key collapse into one cache read and at most one backend call. Requests
+    for different keys wait for each other only at the max_parallel bound on
+    backend calls.
     """
 
     def __init__(self, backend, cache_dir: str | Path | None = None, max_parallel: int = 4):
@@ -486,26 +455,26 @@ class LlmClient:
         through nested maps, and a free run place goes to the smallest
         queued key, so a question's option scores finish before the next
         question starts. There are max_parallel run places; a thread holds
-        none while it holds a backend slot, or while it waits on its own
-        map unless it runs one of that map's items itself, so slots never
-        idle behind CPU work. Serial clients and single items run inline.
+        none while it holds a backend slot or waits on its own map, so slots
+        never idle behind CPU work. Serial clients and single items run inline.
         """
         items = list(items)
         if self.max_parallel == 1 or len(items) <= 1:
             return [fn(item) for item in items]
         return self._scheduler.map(fn, items)
 
-    def _cached(self, key: str, purpose: str, call: Callable[[], dict]) -> dict:
-        """The cached value under key, from one backend call on a miss.
+    def _cached(self, payload: dict, purpose: str, call: Callable[[], dict]) -> dict:
+        """The cached value for payload plus the backend id and model, from
+        one backend call on a miss, which the ledger counts under purpose.
 
         A request first registers an Event for its key, then reads the cache
         once, and on a miss makes the call. Other requests for that key wait
         for the Event and start over, so their one read sees what the owner
         stored. If the call raised, the cache is still empty and one of them
-        calls the backend itself. A hit holds _inflight_lock for two dict
-        operations, registering the Event and removing it; the cache read
-        runs outside the lock.
+        calls the backend itself. A hit holds _inflight_lock only to register
+        and remove the Event; the cache read runs outside the lock.
         """
+        key = ResponseCache.key_for({**payload, "backend": self.backend.backend_id, "model": self.backend.model})
         while True:
             with self._inflight_lock:
                 pending = self._inflight.get(key)
@@ -517,12 +486,12 @@ class LlmClient:
             try:
                 value = self.cache.get(key)
                 if value is not None:
-                    self.ledger.record_hit()
+                    self.ledger.record("cache_hits")
                     return value
                 with self._scheduler.backend_slot():
                     value = call()
                 self.cache.put(key, value)
-                self.ledger.record_call(purpose)
+                self.ledger.record(purpose)
                 return value
             finally:
                 with self._inflight_lock:
@@ -531,38 +500,20 @@ class LlmClient:
 
     def generate(self, req: GenerationRequest) -> str:
         prompt = self.backend.prepare_prompt(req.prompt)
-        key = ResponseCache.key_for(
-            {
-                "kind": "generate",
-                "backend": self.backend.backend_id,
-                "model": self.backend.model,
-                "prompt": prompt,
-                "max_new_tokens": req.max_new_tokens,
-                # Constant fields, kept so that replies cached by earlier
-                # releases are still found under the same keys.
-                "temperature": 0.0,
-                "stop": None,
-                "attempt": req.attempt,
-            }
-        )
+        payload = {
+            "kind": "generate", "prompt": prompt, "max_new_tokens": req.max_new_tokens, "attempt": req.attempt,
+            # Constant fields, kept so that replies cached by earlier
+            # releases are still found under the same keys.
+            "temperature": 0.0, "stop": None,
+        }
         value = self._cached(
-            key,
-            req.purpose_tag,
-            lambda: {"text": self.backend.complete(replace(req, prompt=prompt))},
+            payload, req.purpose_tag, lambda: {"text": self.backend.complete(replace(req, prompt=prompt))}
         )
         return value["text"]
 
     def score(self, req: ScoreRequest) -> float:
-        key = ResponseCache.key_for(
-            {
-                "kind": "score",
-                "backend": self.backend.backend_id,
-                "model": self.backend.model,
-                "prefix": req.prefix,
-                "continuation": req.continuation,
-            }
-        )
+        payload = {"kind": "score", "prefix": req.prefix, "continuation": req.continuation}
         value = self._cached(
-            key, "qa", lambda: {"score": float(self.backend.score(req.prefix, req.continuation))}
+            payload, "qa", lambda: {"score": float(self.backend.score(req.prefix, req.continuation))}
         )
         return float(value["score"])

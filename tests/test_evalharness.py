@@ -7,7 +7,7 @@ import pytest
 
 from langrepo import evalharness
 from langrepo.embed import Embedder, EmbeddingProviderConfig
-from langrepo.errors import BackendUnavailable, MalformedFile, MissingCaptions, OptionCountError
+from langrepo.errors import BackendUnavailable, MalformedFile, MissingCaptions, OptionCountError, UnsupportedFactor
 from langrepo.evalharness import (
     Providers,
     descriptions_for,
@@ -191,6 +191,13 @@ class TestEvaluate:
             evaluate(items, captions, BuildConfig(chunk_schedule=[3, 2]), "langrepo", prov, classifier="generative")
         assert prov.client.ledger.total_calls() == 0
 
+    def test_bad_loglik_format_rejected_before_any_call(self):
+        prov = providers()
+        captions = {"vid": make_caption_set(12)}
+        with pytest.raises(ValueError, match="loglik_format"):
+            evaluate(self.items(2), captions, BuildConfig(chunk_schedule=[3, 2]), "langrepo", prov, loglik_format="bogus")
+        assert prov.client.ledger.total_calls() == 0
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             self.run(self.items(1), mode="nonsense")
@@ -362,6 +369,14 @@ class TestLengthAblation:
         ablated = run_length_ablation(items, captions, cfg, "langrepo", providers(), factors=(1.0,))
         assert ablated[1.0].predictions == plain.predictions
         assert ablated[1.0].overall_accuracy == plain.overall_accuracy
+
+    def test_unsupported_factor_rejected_before_any_call(self):
+        items = [QaItem(**qa_entry("q0"))]
+        captions = {"vid": make_caption_set(12)}
+        prov = providers()
+        with pytest.raises(UnsupportedFactor, match="3.0"):
+            run_length_ablation(items, captions, BuildConfig(chunk_schedule=[3, 2]), "langrepo", prov, factors=(1.0, 3.0))
+        assert prov.client.ledger.total_calls() == 0
 
 
 class TestModeComparison:
