@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import evalharness, repository
-from .config import AppConfig, load_app_config, make_providers
+from .config import load_app_config, make_providers
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -30,7 +30,7 @@ from .errors import (
 from .ingest import load_captions
 from .repository import load as load_repo
 from .repository import render_description_line, save as save_repo
-from .vqa import QaItem, answer_generative, answer_loglik
+from .vqa import QaItem
 
 USAGE_ERRORS = (
     ConfigError,
@@ -43,20 +43,9 @@ USAGE_ERRORS = (
 )
 
 
-def _existing(path: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"path does not exist: {p}")
-    return p
-
-
-def _app_config(args) -> AppConfig:
-    return load_app_config(_existing(args.config))
-
-
 def cmd_build(args) -> int:
-    cfg = _app_config(args)
-    captions = load_captions(_existing(args.captions))
+    cfg = load_app_config(args.config)
+    captions = load_captions(args.captions)
     providers = make_providers(cfg, cache_dir=args.cache_dir)
     repo = repository.build(
         captions, cfg.build, providers.embedder, providers.client, captioner=args.captioner
@@ -72,8 +61,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_answer(args) -> int:
-    cfg = _app_config(args)
-    repo = load_repo(_existing(args.repo))
+    cfg = load_app_config(args.config)
+    repo = load_repo(args.repo)
     classifier = args.classifier or cfg.classifier
     item = QaItem(
         question_id="cli",
@@ -81,16 +70,12 @@ def cmd_answer(args) -> int:
         question=args.question,
         options=list(args.options),
     )
-    if classifier == "generative" and len(item.options) != 5:
-        raise OptionCountError(
-            f"generative classifier requires exactly 5 options, got {len(item.options)}"
-        )
+    evalharness.check_classifier([item], classifier, cfg.loglik_format)
     providers = make_providers(cfg, cache_dir=args.cache_dir)
     descriptions = repository.read_from_repo(repo, repo.config, args.question, providers.client)
-    if classifier == "generative":
-        prediction = answer_generative(descriptions, item, repo.duration_s, providers.client)
-    else:
-        prediction = answer_loglik(descriptions, item, cfg.loglik_format, providers.client)
+    prediction = evalharness.answer(
+        item, descriptions, repo.duration_s, classifier, cfg.loglik_format, providers.client
+    )
     print(f"answer: [{prediction.choice_index}] {item.options[prediction.choice_index]}")
     if prediction.per_option_scores is not None:
         for i, (option, score) in enumerate(zip(item.options, prediction.per_option_scores)):
@@ -101,10 +86,10 @@ def cmd_answer(args) -> int:
     return 0
 
 
-def _load_captions_for(items: list[QaItem], captions_dir: Path) -> dict:
+def _load_captions_for(items: list[QaItem], captions_dir: str) -> dict:
     captions_by_video = {}
     for video_id in sorted({it.video_id for it in items}):
-        path = captions_dir / f"{video_id}.json"
+        path = Path(captions_dir) / f"{video_id}.json"
         if not path.exists():
             raise MissingCaptions(f"no caption file for video {video_id!r} at {path}")
         captions_by_video[video_id] = load_captions(path)
@@ -112,9 +97,9 @@ def _load_captions_for(items: list[QaItem], captions_dir: Path) -> dict:
 
 
 def cmd_eval(args) -> int:
-    cfg = _app_config(args)
-    items = evalharness.load_qa_dataset(_existing(args.dataset))
-    captions_by_video = _load_captions_for(items, _existing(args.captions_dir))
+    cfg = load_app_config(args.config)
+    items = evalharness.load_qa_dataset(args.dataset)
+    captions_by_video = _load_captions_for(items, args.captions_dir)
     providers = make_providers(cfg, cache_dir=args.cache_dir)
     report = evalharness.evaluate(
         items,
@@ -124,7 +109,6 @@ def cmd_eval(args) -> int:
         providers,
         classifier=cfg.classifier,
         loglik_format=cfg.loglik_format,
-        shuffle_seed=args.shuffle_seed,
     )
     print(evalharness.format_report(report))
     evalharness.write_report(report, args.report_out)
@@ -134,9 +118,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate_length(args) -> int:
-    cfg = _app_config(args)
-    items = evalharness.load_qa_dataset(_existing(args.dataset))
-    captions_by_video = _load_captions_for(items, _existing(args.captions_dir))
+    cfg = load_app_config(args.config)
+    items = evalharness.load_qa_dataset(args.dataset)
+    captions_by_video = _load_captions_for(items, args.captions_dir)
     providers = make_providers(cfg, cache_dir=args.cache_dir)
     reports = evalharness.run_length_ablation(
         items,
@@ -159,7 +143,7 @@ def cmd_ablate_length(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    repo = load_repo(_existing(args.repo))
+    repo = load_repo(args.repo)
     display_cfg = dataclasses.replace(
         repo.config, include_timestamps=True, include_occurrences=True
     )
@@ -209,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out", default="report.json")
     p.add_argument("--predictions-out", default="predictions.json")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument(
-        "--shuffle-seed", type=int, default=None,
-        help="process items in a seeded random order (results are order-invariant)",
-    )
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate-length", help="evaluate at 0.5x/1x/2x caption rates")

@@ -64,7 +64,8 @@ class CountMismatch(LangRepoError):
 
 
 class FormatError(LangRepoError):
-    """Rephrase reply is not a plain numbered list."""
+    """A reply is not in the form its prompt asks for: a plain numbered
+    list for a rephrase, a standalone letter for a generative answer."""
 
 
 class OptionCountError(LangRepoError):

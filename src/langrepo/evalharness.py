@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import logging
-import random
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  bench/tracing.py swaps this name
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -123,22 +122,9 @@ def _ledger_delta(before: dict[str, int], after: dict[str, int]) -> dict[str, in
     return {k: after[k] - before.get(k, 0) for k in after}
 
 
-def evaluate(
-    items: list[QaItem],
-    captions_by_video: dict[str, CaptionSet],
-    cfg: BuildConfig,
-    mode: str,
-    providers: Providers,
-    classifier: str = "loglik",
-    loglik_format: str = "plain",
-    shuffle_seed: int | None = None,
-) -> EvalReport:
-    """Run the chosen mode over all items and score against ground truth.
-
-    shuffle_seed randomizes the processing order only; predictions come back
-    aligned with the input items and accuracy is unaffected.
-    """
-    cfg = mode_config(cfg, mode)
+def check_classifier(items: list[QaItem], classifier: str, loglik_format: str) -> None:
+    """Reject an unknown classifier or loglik format, and items the
+    classifier cannot answer, before any backend call."""
     if classifier not in CLASSIFIERS:
         raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {classifier!r}")
     if loglik_format not in LOGLIK_FORMATS:
@@ -147,34 +133,49 @@ def evaluate(
         unfit = [it.question_id for it in items if not it.generative_compatible]
         if unfit:
             raise OptionCountError(f"generative classifier needs exactly 5 options; items {', '.join(unfit)} differ")
+
+
+def answer(
+    item: QaItem, descriptions: list[str], duration_s: float, classifier: str, loglik_format: str, client: LlmClient
+) -> Prediction:
+    """Classify item from the descriptions read for it."""
+    if classifier == "generative":
+        return answer_generative(descriptions, item, duration_s, client)
+    return answer_loglik(descriptions, item, loglik_format, client)
+
+
+def evaluate(
+    items: list[QaItem],
+    captions_by_video: dict[str, CaptionSet],
+    cfg: BuildConfig,
+    mode: str,
+    providers: Providers,
+    classifier: str = "loglik",
+    loglik_format: str = "plain",
+) -> EvalReport:
+    """Run the chosen mode over all items and score against ground truth;
+    predictions come back aligned with the input items."""
+    cfg = mode_config(cfg, mode)
+    check_classifier(items, classifier, loglik_format)
     missing = sorted({it.video_id for it in items if it.video_id not in captions_by_video})
     if missing:
         raise MissingCaptions(f"no captions for video(s): {', '.join(missing)}")
 
     client = providers.client
     before = client.ledger.snapshot()
-    order = list(range(len(items)))
-    if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(order)
-    work = [items[i] for i in order]
 
     # Every video is prepared once, before any of its questions: its
     # questions then wait on nothing but their own reads and scores.
-    videos = list(dict.fromkeys(item.video_id for item in work))
+    videos = list(dict.fromkeys(item.video_id for item in items))
     ready = client.map(lambda vid: prepare_video(captions_by_video[vid], cfg, providers), videos)
     prepared = dict(zip(videos, ready))
 
     def predict(item: QaItem) -> Prediction:
         descriptions = descriptions_for(item, prepared[item.video_id], cfg, client)
-        if classifier == "generative":
-            duration_s = captions_by_video[item.video_id].duration_s
-            return answer_generative(descriptions, item, duration_s, client)
-        return answer_loglik(descriptions, item, loglik_format, client)
+        duration_s = captions_by_video[item.video_id].duration_s
+        return answer(item, descriptions, duration_s, classifier, loglik_format, client)
 
-    done = client.map(predict, work)
-    predictions: list[Prediction] = [None] * len(items)  # type: ignore[list-item]
-    for position, prediction in zip(order, done):
-        predictions[position] = prediction
+    predictions = client.map(predict, items)
 
     correct = 0
     n_scored = 0

@@ -2,8 +2,9 @@
 
 One client fronts an OpenAI-compatible /completions endpoint or a
 deterministic mock, adding retries, a content-addressed response cache, a
-per-purpose call ledger, and one scheduler that bounds backend requests in
-flight and runs the fan-out helper (map) every concurrent caller goes through.
+per-purpose call ledger, the one loop that re-asks until a reply parses,
+and one scheduler that bounds backend requests in flight and runs the
+fan-out helper (map) every concurrent caller goes through.
 The cache persists to one SQLite file when a directory is configured,
 which makes repository builds resumable and lets repeated runs issue zero
 new backend calls.
@@ -16,6 +17,7 @@ import hashlib
 import heapq
 import itertools
 import json
+import logging
 import re
 import threading
 from collections.abc import Callable, Iterable, Iterator
@@ -24,12 +26,16 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, TypeVar
 
-from .errors import BackendUnavailable, ContextOverflow, MalformedFile, ScoringUnsupported
+from .errors import (
+    BackendUnavailable, ContextOverflow, CountMismatch, FormatError, MalformedFile, ScoringUnsupported,
+)
 from .ingest import decode
 from .prompts import GROUP_MEMBER_SEPARATOR, ITEM_LINE
 
 if TYPE_CHECKING:
     from .transport import Session
+
+logger = logging.getLogger(__name__)
 
 PURPOSES = ("rephrase", "summarize", "qa")
 LLM_KEY_ENV = "LANGREPO_LLM_KEY"
@@ -510,6 +516,27 @@ class LlmClient:
             payload, req.purpose_tag, lambda: {"text": self.backend.complete(replace(req, prompt=prompt))}
         )
         return value["text"]
+
+    def generate_parsed(
+        self, req: GenerationRequest, parse: Callable[[str], T], tries: int
+    ) -> tuple[T | None, str]:
+        """The first reply to req that parse accepts, parsed, and that reply.
+
+        Try k asks with attempt k, so every re-ask reaches the backend
+        instead of the cache. parse rejects a reply by raising FormatError or
+        CountMismatch; any other error propagates. After tries rejections
+        one warning names the purpose and the last error, and the value is
+        None beside the last reply.
+        """
+        reply, error = "", None
+        for attempt in range(tries):
+            reply = self.generate(replace(req, attempt=attempt))
+            try:
+                return parse(reply), reply
+            except (FormatError, CountMismatch) as exc:
+                error = exc
+        logger.warning("%s reply unparseable after %d tries: %s", req.purpose_tag, tries, error)
+        return None, reply
 
     def score(self, req: ScoreRequest) -> float:
         payload = {"kind": "score", "prefix": req.prefix, "continuation": req.continuation}

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import grouping
 from .embed import Embedder, similarity_matrix
-from .errors import ConfigError, CountMismatch, FormatError, MalformedFile, VersionMismatch, require_min
+from .errors import ConfigError, MalformedFile, VersionMismatch, require_min
 from .ingest import CaptionSet, Chunk, RepoDescription, chunk_captions, chunk_items, decode, read_json_object
 from .llm import GenerationRequest, LlmClient
 from .prompts import (
@@ -110,33 +110,20 @@ def merge_spans(spans: list[list[float]]) -> list[list[float]]:
 def _rephrase_groups(
     member_texts: list[list[str]], cfg: BuildConfig, client: LlmClient
 ) -> list[str]:
-    """One LLM call rewriting all groups of a chunk; retry then fall back.
+    """One LLM call rewriting all groups of a chunk, re-asked up to
+    cfg.rephrase_retries times while its reply does not parse.
 
-    After cfg.rephrase_retries failed parses every group falls back to its
-    member texts joined by "; " so a build never aborts on formatting noise.
+    Then every group falls back to its member texts joined by "; ", so a
+    build never aborts on formatting noise.
     """
     group_lines = [GROUP_MEMBER_SEPARATOR.join(texts) for texts in member_texts]
-    prompt = render_rephrase(group_lines)
-    last_error: Exception | None = None
-    for attempt in range(cfg.rephrase_retries + 1):
-        reply = client.generate(
-            GenerationRequest(
-                prompt=prompt,
-                max_new_tokens=REPHRASE_MAX_TOKENS,
-                purpose_tag="rephrase",
-                attempt=attempt,
-            )
-        )
-        try:
-            return parse_rephrase_output(reply, len(group_lines))
-        except (CountMismatch, FormatError) as exc:
-            last_error = exc
-    logger.warning(
-        "rephrase output unparseable after %d attempts (%s); joining members verbatim",
-        cfg.rephrase_retries + 1,
-        last_error,
+    req = GenerationRequest(render_rephrase(group_lines), REPHRASE_MAX_TOKENS, purpose_tag="rephrase")
+    rephrased, _ = client.generate_parsed(
+        req, lambda reply: parse_rephrase_output(reply, len(group_lines)), cfg.rephrase_retries + 1
     )
-    return [FALLBACK_JOINER.join(texts) for texts in member_texts]
+    if rephrased is None:
+        return [FALLBACK_JOINER.join(texts) for texts in member_texts]
+    return rephrased
 
 
 def write_to_repo(

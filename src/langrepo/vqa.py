@@ -8,15 +8,12 @@ the given choices.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 
-from .errors import OptionCountError
+from .errors import FormatError, OptionCountError
 from .llm import GenerationRequest, LlmClient, ScoreRequest
 from .prompts import QaPromptInput, render_qa_generative, render_qa_loglik
-
-logger = logging.getLogger(__name__)
 
 CLASSIFIERS = ("generative", "loglik")
 
@@ -66,6 +63,14 @@ def _qa_input(descriptions: list[str], item: QaItem, duration_s: float) -> QaPro
     )
 
 
+def _letter_index(reply: str) -> int:
+    """The option index of the first standalone letter A-E in reply."""
+    m = _STANDALONE_LETTER.search(reply)
+    if m is None:
+        raise FormatError(f"no standalone letter A-E in {reply[:80]!r}")
+    return ord(m.group(1).upper()) - ord("A")
+
+
 def answer_generative(
     descriptions: list[str], item: QaItem, duration_s: float, client: LlmClient
 ) -> Prediction:
@@ -75,31 +80,13 @@ def answer_generative(
     prediction falls back to option 0 and is flagged.
     """
     prompt = render_qa_generative(_qa_input(descriptions, item, duration_s))
-    raw = ""
-    for attempt in range(2):
-        raw = client.generate(
-            GenerationRequest(
-                prompt=prompt,
-                max_new_tokens=16,
-                purpose_tag="qa",
-                attempt=attempt,
-            )
-        )
-        m = _STANDALONE_LETTER.search(raw)
-        if m:
-            return Prediction(
-                question_id=item.question_id,
-                choice_index=ord(m.group(1).upper()) - ord("A"),
-                classifier="generative",
-                raw_output=raw,
-            )
-    logger.warning("no letter in generative reply for %s; falling back to option 0", item.question_id)
+    choice, raw = client.generate_parsed(GenerationRequest(prompt, max_new_tokens=16), _letter_index, 2)
     return Prediction(
         question_id=item.question_id,
-        choice_index=0,
+        choice_index=0 if choice is None else choice,
         classifier="generative",
         raw_output=raw,
-        fallback=True,
+        fallback=choice is None,
     )
 
 

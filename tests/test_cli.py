@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from langrepo import repository
 from langrepo.cli import main
 from langrepo.repository import load as load_repo
 
@@ -92,8 +93,13 @@ class TestAnswerCommand:
         assert "+" in out or "-" in out  # per-option scores printed
         assert "rephrase=0" in out  # answering never writes
 
-    def test_generative_with_four_options_exits_2(self, tmp_path, config_path, captions_path):
+    def test_generative_with_four_options_exits_2(self, tmp_path, config_path, captions_path, monkeypatch):
         repo_path = build_repo(tmp_path, config_path, captions_path)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("read_from_repo reached before the options were checked")
+
+        monkeypatch.setattr(repository, "read_from_repo", unreachable)
         code = main(
             [
                 "answer",
@@ -161,6 +167,36 @@ class TestEvalCommand:
             ]
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("build", "--config"),
+        ("build", "--captions"),
+        ("answer", "--repo"),
+        ("inspect", "--repo"),
+        ("eval", "--dataset"),
+        ("eval", "--captions-dir"),
+    ],
+)
+def test_missing_input_exits_2_naming_the_path(tmp_path, config_path, captions_path, capsys, command, flag):
+    argv = {
+        "build": ["--captions", str(captions_path), "--config", str(config_path), "--out", str(tmp_path / "r.json")],
+        "answer": ["--repo", "", "--config", str(config_path), "--question", "q", "--options", "a", "b"],
+        "inspect": ["--repo", ""],
+        "eval": [
+            "--dataset", str(TestEvalCommand().write_dataset(tmp_path)),
+            "--captions-dir", str(captions_path.parent),
+            "--config", str(config_path),
+            "--report-out", str(tmp_path / "report.json"),
+            "--predictions-out", str(tmp_path / "predictions.json"),
+        ],
+    }[command]
+    missing = tmp_path / "missing" / "input"
+    argv[argv.index(flag) + 1] = str(missing)
+    assert main([command, *argv]) == 2
+    assert str(missing) in capsys.readouterr().err
 
 
 class TestAblateCommand:

@@ -4,16 +4,20 @@ Each digest covers one evaluate run's predictions (per-option scores
 included) and its report (accuracy, splits and ledger). The backend below
 makes every score and every generative answer depend on the whole prompt,
 so a changed description, chunk or question changes the digest. A digest
-must not depend on max_parallel.
+must not depend on max_parallel. The last test pins the same outputs at
+the benchmark's scale, on inputs from its generator.
 """
 
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from langrepo.embed import Embedder, EmbeddingProviderConfig
-from langrepo.evalharness import MODES, Providers, evaluate, predictions_payload, report_payload
+from langrepo.evalharness import MODES, Providers, evaluate, load_qa_dataset, predictions_payload, report_payload
+from langrepo.ingest import load_captions
 from langrepo.llm import LlmClient, MockBackend
 from langrepo.repository import BuildConfig, build, to_canonical_json
 from langrepo.vqa import QaItem
@@ -128,7 +132,7 @@ def test_evaluation_outputs_are_pinned(mode, classifier, config, max_parallel):
     kind, loglik_format = CLASSIFIERS[classifier]
     report = evaluate(
         items(), CAPTIONS, CONFIGS[config], mode, providers(max_parallel),
-        classifier=kind, loglik_format=loglik_format, shuffle_seed=3,
+        classifier=kind, loglik_format=loglik_format,
     )
     got = digest(predictions_payload(report.predictions), report_payload(report))
     assert got == EXPECTED[mode, classifier, config]
@@ -139,3 +143,42 @@ def test_repository_bytes_are_pinned(config):
     prov = providers(4)
     repos = [to_canonical_json(build(c, CONFIGS[config], prov.embedder, prov.client)) for c in CAPTIONS.values()]
     assert digest(*repos) == EXPECTED_REPOSITORIES[config]
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def sha16(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.fixture
+def bench_inputs(monkeypatch, tmp_path):
+    """bench/gen.py's seed-11 inputs: 12 videos of 600 captions, 10 questions each."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    # Registered so that the module imported below is dropped from sys.modules again afterwards.
+    monkeypatch.setitem(sys.modules, "gen", None)
+    del sys.modules["gen"]
+    import gen
+
+    captions_dir, dataset = gen.write_inputs(11, tmp_path, 12, 600, 10)
+    items = load_qa_dataset(dataset)
+    captions = {vid: load_captions(captions_dir / f"{vid}.json") for vid in sorted({it.video_id for it in items})}
+    return items, captions
+
+
+@pytest.mark.parametrize("max_parallel", [1, 4])
+def test_outputs_at_bench_scale_are_pinned(bench_inputs, max_parallel):
+    items, captions = bench_inputs
+    embedder = Embedder(EmbeddingProviderConfig())
+    client = LlmClient(MockBackend(), max_parallel=max_parallel)
+    repos = [to_canonical_json(build(captions[vid], BuildConfig(), embedder, client)) for vid in sorted(captions)]
+    assert sha16("".join(repos)) == "3e76314ae28fa6e1"
+    assert client.ledger.snapshot()["rephrase"] == 108
+
+    prov = Providers(client=LlmClient(MockBackend(), max_parallel=max_parallel), embedder=embedder)
+    report = evaluate(items, captions, BuildConfig(), "langrepo", prov)
+    rows = [[p.question_id, p.choice_index, p.per_option_scores] for p in report.predictions]
+    assert sha16(json.dumps(rows)) == "94b1ff2ea68d45b4"
+    assert report.ledger_snapshot == {"rephrase": 108, "summarize": 108, "qa": 600, "cache_hits": 0}

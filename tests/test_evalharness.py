@@ -210,22 +210,6 @@ class TestEvaluate:
         ]
         assert serial.ledger_snapshot == parallel.ledger_snapshot
 
-    def test_shuffled_processing_preserves_results(self):
-        base = self.run(self.items(4))
-        shuffled = evaluate(
-            self.items(4),
-            {"vid": make_caption_set(12)},
-            BuildConfig(chunk_schedule=[3, 2]),
-            "langrepo",
-            providers(),
-            shuffle_seed=42,
-        )
-        assert [p.question_id for p in shuffled.predictions] == [f"q{i}" for i in range(4)]
-        assert shuffled.overall_accuracy == base.overall_accuracy
-        assert [p.choice_index for p in shuffled.predictions] == [
-            p.choice_index for p in base.predictions
-        ]
-
 
 class CountingClient(LlmClient):
     """LlmClient that keeps every summarize prompt it is asked for, cache
@@ -316,7 +300,7 @@ class TestPreparePerVideo:
 
         monkeypatch.setattr(evalharness, "descriptions_for", recording)
         prov = self.counting(max_parallel)
-        evaluate(items, captions, cfg, "langrepo", prov, shuffle_seed=7)
+        evaluate(items, captions, cfg, "langrepo", prov)
         reads = len(items) if conditioned else len(captions)
         assert prov.client.requests["summarize"] == self.entries * reads
         for item in items:

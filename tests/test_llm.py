@@ -9,7 +9,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from langrepo.errors import BackendUnavailable, ContextOverflow, MalformedFile, ScoringUnsupported
+from langrepo.errors import (
+    BackendUnavailable,
+    ContextOverflow,
+    CountMismatch,
+    FormatError,
+    MalformedFile,
+    ScoringUnsupported,
+)
 from langrepo.llm import (
     CACHE_FILE,
     CallLedger,
@@ -210,6 +217,69 @@ class TestCacheAndLedger:
         client.score(ScoreRequest("pre", "cont"))
         assert client.cache.gets == 4  # one per hit
         assert client.ledger.snapshot() == {"rephrase": 0, "summarize": 0, "qa": 2, "cache_hits": 2}
+
+
+class AttemptRecordingBackend(MockBackend):
+    """Mock that keeps the attempt nonce of every request it serves."""
+
+    def __init__(self, replies):
+        super().__init__(scripted={"P": replies})
+        self.attempts = []
+
+    def complete(self, req):
+        self.attempts.append(req.attempt)
+        return super().complete(req)
+
+
+def number(reply):
+    if not reply.isdigit():
+        raise FormatError(f"not a number: {reply!r}")
+    return int(reply)
+
+
+class TestGenerateParsed:
+    def test_every_try_reaches_the_backend_with_its_own_nonce(self):
+        backend = AttemptRecordingBackend(["x", "y", "z"])
+        client = LlmClient(backend)
+        assert client.generate_parsed(req("P"), number, 3) == (None, "z")
+        assert backend.attempts == [0, 1, 2]
+        assert client.ledger.snapshot()["qa"] == 3
+
+    def test_stops_at_the_first_accepted_reply(self):
+        backend = AttemptRecordingBackend(["x", "42", "7"])
+        client = LlmClient(backend)
+        assert client.generate_parsed(req("P"), number, 3) == (42, "42")
+        assert backend.attempts == [0, 1]
+        assert client.ledger.snapshot()["qa"] == 2
+
+    @pytest.mark.parametrize("error", [FormatError, CountMismatch])
+    def test_none_and_the_last_reply_after_every_try_is_rejected(self, error, caplog):
+        def reject(reply):
+            raise error(f"rejected {reply}")
+
+        client = LlmClient(AttemptRecordingBackend(["x", "y"]))
+        assert client.generate_parsed(req("P", purpose_tag="rephrase"), reject, 2) == (None, "y")
+        assert [r.getMessage() for r in caplog.records] == ["rephrase reply unparseable after 2 tries: rejected y"]
+
+    def test_context_overflow_propagates(self):
+        class OverflowBackend(AttemptRecordingBackend):
+            def complete(self, req):
+                super().complete(req)
+                raise ContextOverflow("prompt too long")
+
+        backend = OverflowBackend(["x"])
+        with pytest.raises(ContextOverflow):
+            LlmClient(backend).generate_parsed(req("P"), number, 3)
+        assert backend.attempts == [0]
+
+    def test_other_parse_errors_propagate(self):
+        def broken(reply):
+            raise ValueError("parser bug")
+
+        backend = AttemptRecordingBackend(["x"])
+        with pytest.raises(ValueError, match="parser bug"):
+            LlmClient(backend).generate_parsed(req("P"), broken, 3)
+        assert backend.attempts == [0]
 
 
 class TestRequestValidation:
