@@ -46,7 +46,7 @@ USAGE_ERRORS = (
 def cmd_build(args) -> int:
     cfg = load_app_config(args.config)
     captions = load_captions(args.captions)
-    providers = make_providers(cfg, cache_dir=args.cache_dir)
+    providers = make_providers(cfg)
     repo = repository.build(
         captions, cfg.build, providers.embedder, providers.client, captioner=args.captioner
     )
@@ -63,18 +63,17 @@ def cmd_build(args) -> int:
 def cmd_answer(args) -> int:
     cfg = load_app_config(args.config)
     repo = load_repo(args.repo)
-    classifier = args.classifier or cfg.classifier
     item = QaItem(
         question_id="cli",
         video_id=repo.video_id,
         question=args.question,
         options=list(args.options),
     )
-    evalharness.check_classifier([item], classifier, cfg.loglik_format)
-    providers = make_providers(cfg, cache_dir=args.cache_dir)
+    evalharness.check_classifier([item], cfg.classifier, cfg.loglik_format)
+    providers = make_providers(cfg)
     descriptions = repository.read_from_repo(repo, repo.config, args.question, providers.client)
     prediction = evalharness.answer(
-        item, descriptions, repo.duration_s, classifier, cfg.loglik_format, providers.client
+        item, descriptions, repo.duration_s, cfg.classifier, cfg.loglik_format, providers.client
     )
     print(f"answer: [{prediction.choice_index}] {item.options[prediction.choice_index]}")
     if prediction.per_option_scores is not None:
@@ -87,20 +86,15 @@ def cmd_answer(args) -> int:
 
 
 def _load_captions_for(items: list[QaItem], captions_dir: str) -> dict:
-    captions_by_video = {}
-    for video_id in sorted({it.video_id for it in items}):
-        path = Path(captions_dir) / f"{video_id}.json"
-        if not path.exists():
-            raise MissingCaptions(f"no caption file for video {video_id!r} at {path}")
-        captions_by_video[video_id] = load_captions(path)
-    return captions_by_video
+    video_ids = sorted({it.video_id for it in items})
+    return {vid: load_captions(Path(captions_dir) / f"{vid}.json") for vid in video_ids}
 
 
 def cmd_eval(args) -> int:
     cfg = load_app_config(args.config)
     items = evalharness.load_qa_dataset(args.dataset)
     captions_by_video = _load_captions_for(items, args.captions_dir)
-    providers = make_providers(cfg, cache_dir=args.cache_dir)
+    providers = make_providers(cfg)
     report = evalharness.evaluate(
         items,
         captions_by_video,
@@ -121,7 +115,7 @@ def cmd_ablate_length(args) -> int:
     cfg = load_app_config(args.config)
     items = evalharness.load_qa_dataset(args.dataset)
     captions_by_video = _load_captions_for(items, args.captions_dir)
-    providers = make_providers(cfg, cache_dir=args.cache_dir)
+    providers = make_providers(cfg)
     reports = evalharness.run_length_ablation(
         items,
         captions_by_video,
@@ -172,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--captions", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cache-dir", default=None, help="override the config's LLM cache directory")
     p.add_argument("--captioner", default="unknown", help="provenance tag for the caption source")
     p.set_defaults(func=cmd_build)
 
@@ -181,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--question", required=True)
     p.add_argument("--options", nargs="+", required=True)
-    p.add_argument("--classifier", choices=["generative", "loglik"], default=None)
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_answer)
 
     p = sub.add_parser("eval", help="evaluate a QA dataset")
@@ -192,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=list(evalharness.MODES), default="langrepo")
     p.add_argument("--report-out", default="report.json")
     p.add_argument("--predictions-out", default="predictions.json")
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate-length", help="evaluate at 0.5x/1x/2x caption rates")
@@ -202,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=list(evalharness.MODES), default="langrepo")
     p.add_argument("--factors", nargs="+", type=float, default=[0.5, 1.0, 2.0])
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_ablate_length)
 
     p = sub.add_parser("inspect", help="pretty-print a repository's entries")

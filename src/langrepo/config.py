@@ -64,7 +64,7 @@ def load_app_config(path: str | Path) -> AppConfig:
     return decode(AppConfig, read_json_object(path, ConfigError), str(path), ConfigError, reject_unknown=True)
 
 
-def make_client(cfg: AppConfig, cache_dir: str | None = None) -> LlmClient:
+def make_client(cfg: AppConfig) -> LlmClient:
     if cfg.llm.kind == "http":
         backend = HttpBackend(
             base_url=cfg.llm.endpoint,
@@ -75,12 +75,8 @@ def make_client(cfg: AppConfig, cache_dir: str | None = None) -> LlmClient:
         )
     else:
         backend = MockBackend()
-    return LlmClient(
-        backend,
-        cache_dir=cache_dir if cache_dir is not None else cfg.cache_dir,
-        max_parallel=cfg.parallelism,
-    )
+    return LlmClient(backend, cache_dir=cfg.cache_dir, max_parallel=cfg.parallelism)
 
 
-def make_providers(cfg: AppConfig, cache_dir: str | None = None) -> Providers:
-    return Providers(client=make_client(cfg, cache_dir=cache_dir), embedder=Embedder(cfg.embed))
+def make_providers(cfg: AppConfig) -> Providers:
+    return Providers(client=make_client(cfg), embedder=Embedder(cfg.embed))

@@ -7,7 +7,8 @@ A caption file is one JSON document per video (other keys are ignored):
      "captions": [{"id": str, "start_s": number, "end_s": number, "text": str}, ...]}
 
 Chunking turns each caption into a RepoDescription of one span and one
-occurrence, the item type every write of the repository takes.
+occurrence and slices the descriptions into RepoEntry chunks, the record
+every write of the repository takes and returns.
 """
 
 from __future__ import annotations
@@ -205,11 +206,13 @@ class RepoDescription:
 
 
 @dataclass
-class Chunk:
-    """Contiguous slice of a video's descriptions; the unit of one write."""
+class RepoEntry:
+    """A contiguous slice of one scale's descriptions: a chunk before its
+    write, the stored entry after it. Its scale is the index of the list in
+    Repository.scales that holds it."""
 
-    index: int
-    items: list[RepoDescription]
+    chunk_index: int
+    descriptions: list[RepoDescription]
 
 
 @dataclass
@@ -247,17 +250,17 @@ def split_counts(total: int, n: int) -> list[int]:
     return [base + 1] * rem + [base] * (n - rem)
 
 
-def chunk_items(items: list[RepoDescription], n: int) -> list[Chunk]:
+def chunk_items(items: list[RepoDescription], n: int) -> list[RepoEntry]:
     """Split an ordered, non-empty description list into at most ``n`` contiguous chunks."""
     chunks = []
     pos = 0
     for index, size in enumerate(split_counts(len(items), n)):
-        chunks.append(Chunk(index=index, items=items[pos : pos + size]))
+        chunks.append(RepoEntry(chunk_index=index, descriptions=items[pos : pos + size]))
         pos += size
     return chunks
 
 
-def chunk_captions(captions: CaptionSet, n: int) -> list[Chunk]:
+def chunk_captions(captions: CaptionSet, n: int) -> list[RepoEntry]:
     """Split a caption set into ``n`` non-overlapping temporal chunks of
     descriptions, one per caption.
 

@@ -30,8 +30,7 @@ GENERATIVE_QA_TEMPLATE = Template(
     " descriptions: ${description}.\n You are going to answer a multiple choice"
     " question based on the descriptions, and your answer should be a single"
     " letter chosen from the choices.\n Here is the question: ${question}.\n"
-    " Here are the choices.\n A: ${optionA}\n B: ${optionB}\n C: ${optionC}\n"
-    " D: ${optionD}\n E: ${optionE}\n [/INST]"
+    " Here are the choices.\n${choices} [/INST]"
 )
 
 _STRUCTURED_QUESTION = Template(
@@ -137,6 +136,11 @@ def _format_duration(duration_s: float) -> str:
     return f"{duration_s:g}"
 
 
+def _choices(options: tuple[str, ...]) -> str:
+    """One " <letter>: <option>" line per option."""
+    return "".join(f" {option_letter(i)}: {text}\n" for i, text in enumerate(options))
+
+
 def render_qa_generative(qa: QaPromptInput) -> str:
     """Single-letter-answer prompt; fixed to exactly five options."""
     if len(qa.options) != 5:
@@ -145,11 +149,7 @@ def render_qa_generative(qa: QaPromptInput) -> str:
         duration=_format_duration(qa.duration_s),
         description=qa.description,
         question=qa.question,
-        optionA=qa.options[0],
-        optionB=qa.options[1],
-        optionC=qa.options[2],
-        optionD=qa.options[3],
-        optionE=qa.options[4],
+        choices=_choices(qa.options),
     )
 
 
@@ -168,12 +168,9 @@ def render_qa_loglik(qa: QaPromptInput, option_index: int, format: str) -> tuple
     option = qa.options[option_index]
     if format == "plain":
         return f"{qa.description} {qa.question} ", option
-    choices = "".join(
-        f" {option_letter(i)}: {text}\n" for i, text in enumerate(qa.options)
-    )
     prefix = (
         _STRUCTURED_QUESTION.substitute(description=qa.description, question=qa.question)
-        + choices
+        + _choices(qa.options)
         + _STRUCTURED_LEAD_IN
     )
     return prefix, f"{option_letter(option_index)}: {option}"

@@ -23,7 +23,7 @@ import numpy as np
 from . import grouping
 from .embed import Embedder, similarity_matrix
 from .errors import ConfigError, MalformedFile, VersionMismatch, require_min
-from .ingest import CaptionSet, Chunk, RepoDescription, chunk_captions, chunk_items, decode, read_json_object
+from .ingest import CaptionSet, RepoDescription, RepoEntry, chunk_captions, chunk_items, decode, read_json_object
 from .llm import GenerationRequest, LlmClient
 from .prompts import (
     GROUP_MEMBER_SEPARATOR,
@@ -39,15 +39,6 @@ SCHEMA_VERSION = 1
 FALLBACK_JOINER = "; "
 REPHRASE_MAX_TOKENS = 768
 SUMMARIZE_MAX_TOKENS = 512
-
-
-@dataclass
-class RepoEntry:
-    """All descriptions one write produced for one chunk; its scale is the
-    index of the list in Repository.scales that holds it."""
-
-    chunk_index: int
-    descriptions: list[RepoDescription]
 
 
 @dataclass
@@ -93,7 +84,7 @@ class Repository:
     duration_s: float
     scales: list[list[RepoEntry]]
     config: BuildConfig
-    provenance: dict[str, str] = field(default_factory=dict)
+    provenance: dict[str, str]
 
 
 def merge_spans(spans: list[list[float]]) -> list[list[float]]:
@@ -127,7 +118,7 @@ def _rephrase_groups(
 
 
 def write_to_repo(
-    chunk: Chunk, cfg: BuildConfig, embedder: Embedder, client: LlmClient,
+    chunk: RepoEntry, cfg: BuildConfig, embedder: Embedder, client: LlmClient,
     *, vectors: dict[str, np.ndarray] | None = None,
 ) -> RepoEntry:
     """Prune one chunk and store the surviving descriptions.
@@ -141,7 +132,7 @@ def write_to_repo(
     embedded, and they are added to it. Two writes sharing it at the same
     moment may both embed a text they share; both get the same vector.
     """
-    items = chunk.items
+    items = chunk.descriptions
     if not items:
         raise ValueError("chunk must be non-empty")
     p = len(items)
@@ -174,7 +165,7 @@ def write_to_repo(
     keyed.extend(((items[index].earliest_s, index), items[index]) for index in pass_through)
 
     keyed.sort(key=lambda pair: pair[0])
-    return RepoEntry(chunk_index=chunk.index, descriptions=[d for _, d in keyed])
+    return RepoEntry(chunk_index=chunk.chunk_index, descriptions=[d for _, d in keyed])
 
 
 def build(
@@ -264,7 +255,7 @@ def to_canonical_json(repo: Repository) -> str:
 
     Re-serializing a loaded repository reproduces the bytes exactly.
     """
-    # vars() of these dataclasses holds exactly their fields, as _SavedRepository reads them back.
+    # vars() of these dataclasses holds exactly their fields, as load reads them back.
     scales = [
         [{"chunk_index": entry.chunk_index, "descriptions": list(map(vars, entry.descriptions))} for entry in scale]
         for scale in repo.scales
@@ -278,21 +269,10 @@ def save(repo: Repository, path: str | Path) -> None:
     Path(path).write_text(to_canonical_json(repo), encoding="utf-8")
 
 
-@dataclass
-class _SavedRepository:
-    schema_version: int
-    video_id: str
-    duration_s: float
-    config: BuildConfig
-    provenance: dict[str, str]
-    scales: list[list[RepoEntry]]
-
-
 def load(path: str | Path) -> Repository:
     path = Path(path)
     raw = read_json_object(path, MalformedFile)
-    version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    version = raw.pop("schema_version", None)
+    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 compare equal to 1
         raise VersionMismatch(f"{path}: schema_version {version!r}, supported {SCHEMA_VERSION}")
-    saved = decode(_SavedRepository, raw, str(path), MalformedFile, reject_unknown=True)
-    return Repository(saved.video_id, saved.duration_s, saved.scales, saved.config, saved.provenance)
+    return decode(Repository, raw, str(path), MalformedFile, reject_unknown=True)

@@ -13,7 +13,7 @@ import pytest
 from langrepo.embed import Embedder, EmbeddingProviderConfig, similarity_matrix
 from langrepo.evalharness import Providers, evaluate, write_predictions
 from langrepo.grouping import match_and_group, split
-from langrepo.ingest import Chunk, RepoDescription, chunk_captions, chunk_items, transform_rate
+from langrepo.ingest import RepoDescription, RepoEntry, chunk_captions, chunk_items, transform_rate
 from langrepo.llm import LlmClient, MockBackend
 from langrepo.prompts import QaPromptInput, render_qa_generative, render_qa_loglik
 from langrepo.repository import (
@@ -83,7 +83,7 @@ def test_criterion_2_description_count_law():
         cfg = BuildConfig(chunk_schedule=[1], grouping_ratio=x, dst_ratio=0.25)
         texts = [f"actor {trial} performs step {i} variant {int(rng.integers(0, 9))}" for i in range(p)]
         items = [RepoDescription(text, [[float(i), float(i + 1)]]) for i, text in enumerate(texts)]
-        entry = write_to_repo(Chunk(index=0, items=items), cfg, embedder, client)
+        entry = write_to_repo(RepoEntry(chunk_index=0, descriptions=items), cfg, embedder, client)
         if p == 1:
             expected = 1
         else:
@@ -112,12 +112,12 @@ def test_criterion_3_occurrence_conservation_and_timestamp_containment():
             previous = [d for entry in repo.scales[scale_index - 1] for d in entry.descriptions]
             chunks = chunk_items(previous, cfg.chunk_schedule[scale_index])
         for chunk, entry in zip(chunks, scale):
-            low = min(span[0] for d in chunk.items for span in d.timestamps)
-            high = max(span[1] for d in chunk.items for span in d.timestamps)
+            low = min(span[0] for d in chunk.descriptions for span in d.timestamps)
+            high = max(span[1] for d in chunk.descriptions for span in d.timestamps)
             for d in entry.descriptions:
                 for start, end in d.timestamps:
                     assert low <= start <= end <= high, (
-                        f"scale {scale_index} chunk {chunk.index}: span [{start}, {end}] "
+                        f"scale {scale_index} chunk {chunk.chunk_index}: span [{start}, {end}] "
                         f"outside founding span [{low}, {high}]"
                     )
     _passed("criterion 3", "occurrences conserved at 60 per scale; all spans contained")
@@ -332,7 +332,7 @@ def test_criterion_9_rephrase_parser_robustness(angled_caption_set, angled_embed
         client = LlmClient(MockBackend(purpose_replies={"rephrase": reply}))
         repo = build(captions, cfg, embedder, client)
         for chunk, entry in zip(chunk_captions(captions, 2), repo.scales[0]):
-            p = len(chunk.items)
+            p = len(chunk.descriptions)
             n_src = len(split(p, cfg.dst_ratio).src_indices)
             assert len(entry.descriptions) == p - math.floor(cfg.grouping_ratio * n_src)
         total = sum(d.occurrences for e in repo.scales[0] for d in e.descriptions)

@@ -4,6 +4,8 @@ import pytest
 
 from langrepo import repository
 from langrepo.cli import main
+from langrepo.errors import BackendUnavailable
+from langrepo.llm import MockBackend
 from langrepo.repository import load as load_repo
 
 from conftest import make_caption_set, write_caption_file
@@ -59,19 +61,29 @@ class TestBuildCommand:
         assert code == 2
 
     def test_rebuild_with_cache_issues_no_calls(self, tmp_path, config_path, captions_path, capsys):
-        cache = tmp_path / "cache"
+        config_path.write_text(json.dumps({**json.loads(config_path.read_text()), "cache_dir": str(tmp_path / "cache")}))
         args = [
             "build",
             "--captions", str(captions_path),
             "--config", str(config_path),
             "--out", str(tmp_path / "repo.json"),
-            "--cache-dir", str(cache),
         ]
         assert main(args) == 0
         capsys.readouterr()
         assert main(args) == 0
         second = capsys.readouterr().out
         assert "rephrase=0" in second
+
+    def test_backend_unavailable_exits_1(self, tmp_path, config_path, captions_path, capsys, monkeypatch):
+        def unavailable(self, req):
+            raise BackendUnavailable("llm backend failed after 3 attempts: refused")
+
+        monkeypatch.setattr(MockBackend, "complete", unavailable)
+        out = tmp_path / "repo.json"
+        code = main(["build", "--captions", str(captions_path), "--config", str(config_path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: llm backend failed after 3 attempts: refused\n"
+        assert not out.exists()
 
 
 class TestAnswerCommand:
@@ -100,6 +112,7 @@ class TestAnswerCommand:
             raise AssertionError("read_from_repo reached before the options were checked")
 
         monkeypatch.setattr(repository, "read_from_repo", unreachable)
+        config_path.write_text(json.dumps({**json.loads(config_path.read_text()), "classifier": "generative"}))
         code = main(
             [
                 "answer",
@@ -107,7 +120,6 @@ class TestAnswerCommand:
                 "--config", str(config_path),
                 "--question", "q",
                 "--options", "a", "b", "c", "d",
-                "--classifier", "generative",
             ]
         )
         assert code == 2

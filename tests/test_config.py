@@ -116,6 +116,21 @@ def test_provider_counts_must_be_json_integers(tmp_path, raw, name):
         load_app_config(write_config(tmp_path, raw))
 
 
+@pytest.mark.parametrize(
+    "raw, name",
+    [
+        ({"llm": {"kind": "openai"}}, "llm.kind"),
+        ({"llm": {"kind": "http", "model": "m"}}, "endpoint"),
+        ({"llm": {"kind": "http", "endpoint": "http://llm.test/v1"}}, "model"),
+        ({"classifier": "vote"}, "classifier"),
+        ({"loglik_format": "json"}, "loglik_format"),
+    ],
+)
+def test_unknown_or_incomplete_choice_rejected(tmp_path, raw, name):
+    with pytest.raises(ConfigError, match=name):
+        load_app_config(write_config(tmp_path, raw))
+
+
 def test_build_with_non_integer_schedule_exits_2(tmp_path, capsys):
     captions = write_caption_file(tmp_path / "vid.json", make_caption_set(12))
     config = write_config(tmp_path, {"build": {"chunk_schedule": ["x"]}})

@@ -204,6 +204,19 @@ def test_saved_repository_rejects_unknown_keys(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None], ids=["true", "1.0", "string", "2", "missing"])
+def test_only_integer_schema_version_1_loads(tmp_path, capsys, version):
+    document = saved_repository()
+    if version is None:
+        del document["schema_version"]
+    else:
+        document["schema_version"] = version
+    path = tmp_path / "repo.json"
+    path.write_text(json.dumps(document))
+    assert main(["inspect", "--repo", str(path)]) == 2
+    assert f"{path}: schema_version" in capsys.readouterr().err
+
+
 def test_bench_shaped_repository_round_trips_byte_stably(tmp_path, monkeypatch, hashed_embedder, mock_client):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)

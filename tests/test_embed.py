@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import requests
 
 from langrepo.embed import (
     Embedder,
@@ -136,7 +137,10 @@ class _FakeSession:
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.calls.append({"url": url, "json": json, "headers": headers})
-        return self.responses.pop(0)
+        reply = self.responses.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
 
 class TestHttpProvider:
@@ -179,6 +183,28 @@ class TestHttpProvider:
         with pytest.raises(ProviderUnavailable):
             provider.embed_batch(["t"])
         assert len(session.calls) == 3
+
+    @pytest.mark.parametrize(
+        "first", [requests.ConnectionError("refused"), _FakeResponse(200, text="<html>busy</html>")],
+        ids=["connection-error", "non-json-200"],
+    )
+    def test_recovers_after_transport_error_or_unreadable_body(self, first):
+        session = _FakeSession([first, _FakeResponse(200, {"vectors": [[1.0, 0.0]]})])
+        provider = HttpEmbeddingProvider(self.cfg(), session=session)
+        assert provider.embed_batch(["t"]).shape == (1, 2)
+        assert len(session.calls) == 2
+
+    def test_connection_errors_exhaust_retries(self):
+        session = _FakeSession([requests.ConnectionError("refused") for _ in range(3)])
+        provider = HttpEmbeddingProvider(self.cfg(), session=session)
+        with pytest.raises(ProviderUnavailable, match="after 3 attempts: refused"):
+            provider.embed_batch(["t"])
+        assert len(session.calls) == 3
+
+    def test_fewer_vectors_than_texts_rejected(self):
+        session = _FakeSession([_FakeResponse(200, {"vectors": [[1.0, 0.0]]})])
+        with pytest.raises(ProviderUnavailable, match="1 vectors for 2 texts"):
+            Embedder(self.cfg(), session=session).encode(["a", "b"])
 
     def test_reply_value_that_is_no_number_rejected(self):
         session = _FakeSession([_FakeResponse(200, {"vectors": [[1.0, "x"]]})])

@@ -198,6 +198,13 @@ class TestEvaluate:
             evaluate(self.items(2), captions, BuildConfig(chunk_schedule=[3, 2]), "langrepo", prov, loglik_format="bogus")
         assert prov.client.ledger.total_calls() == 0
 
+    def test_bad_classifier_rejected_before_any_call(self):
+        prov = providers()
+        captions = {"vid": make_caption_set(12)}
+        with pytest.raises(ValueError, match="classifier"):
+            evaluate(self.items(2), captions, BuildConfig(chunk_schedule=[3, 2]), "langrepo", prov, classifier="vote")
+        assert prov.client.ledger.total_calls() == 0
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             self.run(self.items(1), mode="nonsense")
@@ -406,7 +413,7 @@ class TestModeComparison:
         )
         evaluate(items, {"vid": captions}, cfg, mode, prov)
         expected = [
-            render_summarize([c.text for c in chunk.items], item.question)
+            render_summarize([c.text for c in chunk.descriptions], item.question)
             for item in items
             for chunk in chunk_captions(captions, n_chunks)
         ]

@@ -96,27 +96,27 @@ class TestLoadCaptions:
 class TestChunkCaptions:
     def test_even_split(self):
         chunks = chunk_captions(make_caption_set(12), 3)
-        assert [len(c.items) for c in chunks] == [4, 4, 4]
+        assert [len(c.descriptions) for c in chunks] == [4, 4, 4]
 
     def test_remainder_goes_first(self):
         chunks = chunk_captions(make_caption_set(13), 3)
-        assert [len(c.items) for c in chunks] == [5, 4, 4]
+        assert [len(c.descriptions) for c in chunks] == [5, 4, 4]
 
     def test_clamps_to_caption_count(self):
         chunks = chunk_captions(make_caption_set(2), 5)
-        assert [len(c.items) for c in chunks] == [1, 1]
+        assert [len(c.descriptions) for c in chunks] == [1, 1]
 
     def test_indices_sequential(self):
         chunks = chunk_captions(make_caption_set(10), 4)
-        assert [c.index for c in chunks] == [0, 1, 2, 3]
+        assert [c.chunk_index for c in chunks] == [0, 1, 2, 3]
 
     @given(total=st.integers(1, 200), n=st.integers(1, 40))
     def test_concatenation_identity_and_balance(self, total, n):
         cs = make_caption_set(total)
         chunks = chunk_captions(cs, n)
-        flattened = [item for chunk in chunks for item in chunk.items]
+        flattened = [item for chunk in chunks for item in chunk.descriptions]
         assert flattened == [RepoDescription(c.text, [[c.start_s, c.end_s]]) for c in cs.captions]
-        sizes = [len(c.items) for c in chunks]
+        sizes = [len(c.descriptions) for c in chunks]
         assert len(chunks) == min(n, total)
         assert max(sizes) - min(sizes) <= 1
         # remainder sits in the earliest chunks

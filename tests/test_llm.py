@@ -8,6 +8,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import requests
 
 from langrepo.errors import (
     BackendUnavailable,
@@ -313,7 +314,10 @@ class _FakeSession:
         self.calls.append({"url": url, "json": json, "headers": headers})
         if not self.responses:
             raise AssertionError("unexpected extra request")
-        return self.responses.pop(0)
+        reply = self.responses.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
 
 def http_backend(responses, **kw):
@@ -380,6 +384,21 @@ class TestHttpBackend:
             backend.complete(req("hi"))
         assert len(backend.session.calls) == 3
 
+    @pytest.mark.parametrize(
+        "first", [requests.ConnectionError("refused"), _FakeResponse(200, text="<html>busy</html>")],
+        ids=["connection-error", "non-json-200"],
+    )
+    def test_recovers_after_transport_error_or_unreadable_body(self, first):
+        backend = http_backend([first, text_ok("ok")])
+        assert backend.complete(req("hi")) == "ok"
+        assert len(backend.session.calls) == 2
+
+    def test_connection_errors_exhaust_retries(self):
+        backend = http_backend([requests.ConnectionError("refused") for _ in range(3)], max_retries=2)
+        with pytest.raises(BackendUnavailable, match="after 3 attempts: refused"):
+            backend.complete(req("hi"))
+        assert len(backend.session.calls) == 3
+
     def test_context_overflow(self):
         backend = http_backend(
             [_FakeResponse(400, text="this model's maximum context length is 8192 tokens")]
@@ -435,9 +454,10 @@ class TestHttpBackend:
             backend.score("a", "b")
 
 
-# Replies that do not fit the completions schema: (request kind, the bad
-# reply, what the error names). Each one raises BackendUnavailable, is not
-# cached, and a second identical request reaches the endpoint again.
+# Replies that do not fit the completions schema, or whose status is not
+# retried: (request kind, the bad reply, what the error names). Each one
+# raises BackendUnavailable after one request, is not cached, and a second
+# identical request reaches the endpoint again.
 MALFORMED_REPLIES = [
     ("generate", text_ok(None), "choices[0].text"),
     ("generate", _FakeResponse(200, {"choices": []}), "choices is empty"),
@@ -445,6 +465,8 @@ MALFORMED_REPLIES = [
     ("score", logprobs_ok([None, "-1.0"], [0, 1]), "choices[0].logprobs.token_logprobs[1]"),
     ("score", logprobs_ok([None, -1.0], [0, "1"]), "choices[0].logprobs.text_offset[1]"),
     ("score", logprobs_ok([None, -1.0, -3.0], [0, 1]), "3 token_logprobs and 2 text_offset"),
+    ("generate", _FakeResponse(401, text="invalid api key"), "HTTP 401: invalid api key"),
+    ("score", _FakeResponse(400, text="echo is not supported"), "HTTP 400: echo is not supported"),
 ]
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from langrepo.embed import Embedder, EmbeddingProviderConfig, similarity_matrix
 from langrepo.errors import ConfigError, MalformedFile, VersionMismatch
 from langrepo.grouping import split
-from langrepo.ingest import Caption, CaptionSet, Chunk, chunk_captions, chunk_items, split_counts
+from langrepo.ingest import Caption, CaptionSet, RepoEntry, chunk_captions, chunk_items, split_counts
 from langrepo.llm import LlmClient, MockBackend
 from langrepo.repository import (
     BuildConfig,
@@ -80,7 +80,7 @@ class TestWriteToRepo:
         assert len(entry.descriptions) == 1
         d = entry.descriptions[0]
         assert d.occurrences == 1
-        assert d.text == chunk.items[0].text
+        assert d.text == chunk.descriptions[0].text
         assert mock_client.ledger.total_calls() == 0
 
     def test_six_caption_worked_example(self, angled_caption_set, angled_embedder, mock_client):
@@ -145,7 +145,7 @@ class TestWriteToRepo:
 
     def test_empty_chunk_rejected(self, hashed_embedder, mock_client):
         with pytest.raises(ValueError):
-            write_to_repo(Chunk(index=0, items=[]), self.cfg(), hashed_embedder, mock_client)
+            write_to_repo(RepoEntry(chunk_index=0, descriptions=[]), self.cfg(), hashed_embedder, mock_client)
 
 
 class TestChunkItems:
@@ -156,16 +156,16 @@ class TestChunkItems:
 
     def test_remainder_rule(self):
         chunks = chunk_items(self.descriptions(9), 2)
-        assert [len(c.items) for c in chunks] == [5, 4]
-        assert [d.text for c in chunks for d in c.items] == [f"d{i}" for i in range(9)]
+        assert [len(c.descriptions) for c in chunks] == [5, 4]
+        assert [d.text for c in chunks for d in c.descriptions] == [f"d{i}" for i in range(9)]
 
     def test_one_description_per_chunk(self):
         chunks = chunk_items(self.descriptions(4), 4)
-        assert [len(c.items) for c in chunks] == [1, 1, 1, 1]
+        assert [len(c.descriptions) for c in chunks] == [1, 1, 1, 1]
 
     def test_clamps_to_description_count(self):
         chunks = chunk_items(self.descriptions(3), 4)
-        assert [len(c.items) for c in chunks] == [1, 1, 1]
+        assert [len(c.descriptions) for c in chunks] == [1, 1, 1]
 
     def test_empty_descriptions_rejected(self):
         with pytest.raises(ValueError):
@@ -206,7 +206,7 @@ class TestBuild:
         cfg = BuildConfig(chunk_schedule=[4])
         repo = build(caption_set_60, cfg, hashed_embedder, mock_client)
         for chunk, entry in zip(chunk_captions(caption_set_60, 4), repo.scales[0]):
-            p = len(chunk.items)
+            p = len(chunk.descriptions)
             src = split(p, cfg.dst_ratio).src_indices
             expected = p - int(cfg.grouping_ratio * len(src))
             assert len(entry.descriptions) == expected

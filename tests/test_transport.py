@@ -29,7 +29,7 @@ OFFLINE_RUN = textwrap.dedent(
     ])
     items = [QaItem("q0", "v", "What happens?", ["a", "b", "c", "d", "e"], 0)]
     report = evaluate(items, {"v": captions}, BuildConfig(chunk_schedule=[3, 2]), "langrepo",
-                      make_providers(AppConfig(), cache_dir=sys.argv[1] or None))
+                      make_providers(AppConfig(cache_dir=sys.argv[1] or None)))
     assert len(report.predictions) == 1
     print(" ".join(m for m in ("requests", "urllib3", "sqlite3") if m in sys.modules))
     """
