@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Commands: build a repository from a caption file, answer one question
-against a saved repository, evaluate a QA dataset, run the input-length
-ablation, and inspect a repository's entries. Exit codes: 0 success,
-2 usage or configuration error, 1 runtime failure.
+against a saved repository, evaluate a QA dataset (at a chosen caption
+rate, for the input-length study), and inspect a repository's entries.
+Exit codes: 0 success, 2 usage or configuration error, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from .errors import (
     MalformedFile,
     MissingCaptions,
     OptionCountError,
-    UnsupportedFactor,
     VersionMismatch,
 )
-from .ingest import load_captions
+from .ingest import RATE_FACTORS, load_captions, transform_rate
 from .repository import load as load_repo
 from .repository import render_description_line, save as save_repo
 from .vqa import QaItem
@@ -36,7 +35,6 @@ USAGE_ERRORS = (
     ConfigError,
     MalformedFile,
     EmptyInput,
-    UnsupportedFactor,
     OptionCountError,
     MissingCaptions,
     VersionMismatch,
@@ -85,15 +83,13 @@ def cmd_answer(args) -> int:
     return 0
 
 
-def _load_captions_for(items: list[QaItem], captions_dir: str) -> dict:
-    video_ids = sorted({it.video_id for it in items})
-    return {vid: load_captions(Path(captions_dir) / f"{vid}.json") for vid in video_ids}
-
-
 def cmd_eval(args) -> int:
     cfg = load_app_config(args.config)
     items = evalharness.load_qa_dataset(args.dataset)
-    captions_by_video = _load_captions_for(items, args.captions_dir)
+    captions_by_video = {
+        vid: transform_rate(load_captions(Path(args.captions_dir) / f"{vid}.json"), args.rate_factor)
+        for vid in sorted({it.video_id for it in items})
+    }
     providers = make_providers(cfg)
     report = evalharness.evaluate(
         items,
@@ -108,31 +104,6 @@ def cmd_eval(args) -> int:
     evalharness.write_report(report, args.report_out)
     evalharness.write_predictions(report.predictions, args.predictions_out)
     print(f"wrote {args.report_out} and {args.predictions_out}")
-    return 0
-
-
-def cmd_ablate_length(args) -> int:
-    cfg = load_app_config(args.config)
-    items = evalharness.load_qa_dataset(args.dataset)
-    captions_by_video = _load_captions_for(items, args.captions_dir)
-    providers = make_providers(cfg)
-    reports = evalharness.run_length_ablation(
-        items,
-        captions_by_video,
-        cfg.build,
-        args.mode,
-        providers,
-        factors=tuple(args.factors),
-        classifier=cfg.classifier,
-        loglik_format=cfg.loglik_format,
-    )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for factor, report in reports.items():
-        print(f"--- rate factor {factor}x ---")
-        print(evalharness.format_report(report))
-        evalharness.write_report(report, out_dir / f"report-{factor}x.json")
-    print(f"wrote {len(reports)} report(s) to {out_dir}")
     return 0
 
 
@@ -181,18 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--captions-dir", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=list(evalharness.MODES), default="langrepo")
+    p.add_argument(
+        "--rate-factor", type=float, choices=RATE_FACTORS, default=1.0,
+        help="thin out (0.5) or thicken (2.0) each caption stream, for the input-length study",
+    )
     p.add_argument("--report-out", default="report.json")
     p.add_argument("--predictions-out", default="predictions.json")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate-length", help="evaluate at 0.5x/1x/2x caption rates")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--captions-dir", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=list(evalharness.MODES), default="langrepo")
-    p.add_argument("--factors", nargs="+", type=float, default=[0.5, 1.0, 2.0])
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_ablate_length)
 
     p = sub.add_parser("inspect", help="pretty-print a repository's entries")
     p.add_argument("--repo", required=True)

@@ -13,8 +13,8 @@ Three provider kinds:
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -94,16 +94,19 @@ class HttpEmbeddingProvider:
         from . import transport
 
         try:
-            vectors = transport.post_json(
+            reply = transport.post_json(
                 self.session, self.cfg.location, {"texts": batch},
                 key_env=EMBED_KEY_ENV, auth_header=self.cfg.auth_header, timeout_s=self.cfg.timeout_s,
                 max_retries=self.cfg.max_retries, backoff_s=self.cfg.backoff_s,
-                label="embedding endpoint", unavailable=ProviderUnavailable, decode=itemgetter("vectors"),
+                label="embedding endpoint", unavailable=ProviderUnavailable,
             )
         except transport.HttpStatusError as exc:
             raise ProviderUnavailable(str(exc)) from exc
+        # A readable reply of the wrong shape fails at once, as a wrong LLM reply does.
+        if type(reply) is not dict or "vectors" not in reply:
+            raise ProviderUnavailable(f"embedding endpoint reply has no vectors: {json.dumps(reply)[:60]}")
         where = "embedding endpoint vectors"
-        vectors = decode(list[list[float]], vectors, where, ProviderUnavailable, reject_unknown=False)
+        vectors = decode(list[list[float]], reply["vectors"], where, ProviderUnavailable, reject_unknown=False)
         if len(vectors) != len(batch):
             raise ProviderUnavailable(f"endpoint returned {len(vectors)} vectors for {len(batch)} texts")
         dimension = self.cfg.dimension

@@ -1,4 +1,4 @@
-"""Dataset loading, pipeline evaluation, and the input-length study.
+"""Dataset loading and pipeline evaluation.
 
 Three modes, each run as: build a repository per video, read it (once per
 video, or per question when reads are conditioned on it), classify.
@@ -9,7 +9,9 @@ video, or per question when reads are conditioned on it), classify.
   with the question (see mode_config).
 
 Accuracy is computed against answer_index; items without ground truth get
-predictions but are excluded from accuracy and counted separately.
+predictions but are excluded from accuracy and counted separately. The
+input-length study is the same evaluation at another caption rate: each
+caption set passed through ingest.transform_rate (``eval --rate-factor``).
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .embed import Embedder
-from .errors import MalformedFile, MissingCaptions, OptionCountError, UnsupportedFactor
+from .errors import MalformedFile, MissingCaptions, OptionCountError
 from .ingest import chunk_captions  # noqa: F401  bench/tracing.py wraps this name
-from .ingest import RATE_FACTORS, CaptionSet, decode, read_json_object, transform_rate
+from .ingest import CaptionSet, decode, read_json_object
 from .llm import PURPOSES, LlmClient
 from .prompts import LOGLIK_FORMATS
 from .prompts import render_summarize  # noqa: F401  bench/tracing.py wraps this name
@@ -202,31 +204,6 @@ def evaluate(
         ledger_snapshot=_ledger_delta(before, client.ledger.snapshot()),
         predictions=predictions,
     )
-
-
-def run_length_ablation(
-    items: list[QaItem],
-    captions_by_video: dict[str, CaptionSet],
-    cfg: BuildConfig,
-    mode: str,
-    providers: Providers,
-    factors: tuple[float, ...] = RATE_FACTORS,
-    classifier: str = "loglik",
-    loglik_format: str = "plain",
-) -> dict[float, EvalReport]:
-    """Check every factor, then evaluate once per factor on the transformed caption sets."""
-    unsupported = [factor for factor in factors if factor not in RATE_FACTORS]
-    if unsupported:
-        raise UnsupportedFactor(f"factor must be one of {RATE_FACTORS}, got {unsupported[0]}")
-    reports = {}
-    for factor in factors:
-        transformed = {
-            vid: transform_rate(captions, factor) for vid, captions in captions_by_video.items()
-        }
-        reports[factor] = evaluate(
-            items, transformed, cfg, mode, providers, classifier, loglik_format
-        )
-    return reports
 
 
 def predictions_payload(predictions: list[Prediction]) -> dict:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-from collections.abc import Callable
 from typing import Any
 
 from requests import RequestException, Session
@@ -34,16 +33,15 @@ def new_session() -> Session:
 def post_json(
     session: Session, url: str, body: dict, *, key_env: str, auth_header: str, timeout_s: float,
     max_retries: int, backoff_s: float, label: str, unavailable: type[Exception],
-    decode: Callable[[Any], Any] = lambda data: data,
 ) -> Any:
-    """POST body as JSON and return decode(reply JSON).
+    """POST body as JSON and return the parsed JSON reply.
 
     The API key in the key_env variable, when set, goes in auth_header (as
     a bearer token when that is Authorization). Transport errors, HTTP 429
-    and 5xx, and a 200 whose body decode rejects with KeyError or
-    ValueError are retried up to max_retries times, waiting backoff_s,
-    then twice as long each time; when every attempt fails, unavailable is
-    raised. Any other status raises HttpStatusError at once.
+    and 5xx, and a 200 whose body is not JSON are retried up to
+    max_retries times, waiting backoff_s, then twice as long each time;
+    when every attempt fails, unavailable is raised. Any other status
+    raises HttpStatusError at once. The caller checks the reply's shape.
     """
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(key_env, "")
@@ -61,8 +59,8 @@ def post_json(
             continue
         if resp.status_code == 200:
             try:
-                return decode(resp.json())
-            except (KeyError, ValueError) as exc:
+                return resp.json()
+            except ValueError as exc:
                 last_error = exc
                 continue
         last_error = HttpStatusError(resp.status_code, resp.text[:500])

@@ -1,10 +1,13 @@
 import json
+import re
 
 import pytest
 
-from langrepo import repository
+from langrepo import evalharness, repository
 from langrepo.cli import main
+from langrepo.config import load_app_config, make_providers
 from langrepo.errors import BackendUnavailable
+from langrepo.ingest import load_captions, transform_rate
 from langrepo.llm import MockBackend
 from langrepo.repository import load as load_repo
 
@@ -104,6 +107,22 @@ class TestAnswerCommand:
         assert "answer: [0] a" in out  # shortest option wins under the mock scorer
         assert "+" in out or "-" in out  # per-option scores printed
         assert "rephrase=0" in out  # answering never writes
+
+    def test_generative_reply_without_a_letter_falls_back_to_option_0(
+        self, tmp_path, config_path, captions_path, capsys, monkeypatch
+    ):
+        repo_path = build_repo(tmp_path, config_path, captions_path)
+        capsys.readouterr()
+        complete = MockBackend.complete
+        monkeypatch.setattr(
+            MockBackend, "complete", lambda self, req: "no idea" if req.purpose_tag == "qa" else complete(self, req)
+        )
+        config_path.write_text(json.dumps({**json.loads(config_path.read_text()), "classifier": "generative"}))
+        argv = ["answer", "--repo", str(repo_path), "--config", str(config_path), "--question", "q", "--options", *"abcde"]
+        assert main(argv) == 0
+        printed = capsys.readouterr()
+        assert "answer: [0] a" in printed.out
+        assert printed.err == "warning: reply was unparseable, fell back to option 0\n"
 
     def test_generative_with_four_options_exits_2(self, tmp_path, config_path, captions_path, monkeypatch):
         repo_path = build_repo(tmp_path, config_path, captions_path)
@@ -211,25 +230,60 @@ def test_missing_input_exits_2_naming_the_path(tmp_path, config_path, captions_p
     assert str(missing) in capsys.readouterr().err
 
 
-class TestAblateCommand:
-    def test_three_reports(self, tmp_path, config_path, captions_path, capsys):
-        dataset = TestEvalCommand().write_dataset(tmp_path, n=1)
-        out_dir = tmp_path / "ablation"
-        code = main(
-            [
-                "ablate-length",
-                "--dataset", str(dataset),
-                "--captions-dir", str(captions_path.parent),
-                "--config", str(config_path),
-                "--mode", "llovi-whole",
-                "--out-dir", str(out_dir),
-            ]
-        )
-        assert code == 0
-        names = sorted(p.name for p in out_dir.iterdir())
-        assert names == ["report-0.5x.json", "report-1.0x.json", "report-2.0x.json"]
-        out = capsys.readouterr().out
-        assert "rate factor 0.5x" in out and "rate factor 2.0x" in out
+class TestRateFactor:
+    """eval --rate-factor runs the input-length study: the same evaluation on
+    each caption set passed through transform_rate."""
+
+    @pytest.fixture(autouse=True)
+    def read_dependent_scores(self, monkeypatch):
+        # The default mock score ignores the prefix; make it depend on the
+        # read so that a different caption rate gives different predictions.
+        monkeypatch.setattr(MockBackend, "score", lambda self, prefix, continuation: -len(prefix + continuation) / 1000)
+
+    def run_eval(self, tmp_path, config_path, captions_path, name, *extra):
+        dataset = TestEvalCommand().write_dataset(tmp_path)
+        report_out, predictions_out = tmp_path / f"report-{name}.json", tmp_path / f"predictions-{name}.json"
+        argv = [
+            "eval",
+            "--dataset", str(dataset),
+            "--captions-dir", str(captions_path.parent),
+            "--config", str(config_path),
+            "--report-out", str(report_out),
+            "--predictions-out", str(predictions_out),
+            *extra,
+        ]
+        assert main(argv) == 0
+        return report_out.read_bytes(), predictions_out.read_bytes()
+
+    def test_identity_factor_writes_the_files_of_plain_eval(self, tmp_path, config_path, captions_path):
+        plain = self.run_eval(tmp_path, config_path, captions_path, "plain")
+        assert self.run_eval(tmp_path, config_path, captions_path, "1x", "--rate-factor", "1.0") == plain
+
+    def test_factor_predicts_as_evaluate_on_transformed_captions(self, tmp_path, config_path, captions_path):
+        items = evalharness.load_qa_dataset(TestEvalCommand().write_dataset(tmp_path))
+        written = {}
+        for factor in (0.5, 2.0):
+            _, predictions = self.run_eval(tmp_path, config_path, captions_path, f"{factor}x", "--rate-factor", str(factor))
+            written[factor] = json.loads(predictions)
+            cfg = load_app_config(config_path)
+            captions = {"vid": transform_rate(load_captions(captions_path), factor)}
+            report = evalharness.evaluate(
+                items, captions, cfg.build, "langrepo", make_providers(cfg), cfg.classifier, cfg.loglik_format
+            )
+            assert written[factor] == evalharness.predictions_payload(report.predictions)
+        assert written[0.5] != written[2.0]
+
+    def test_unsupported_factor_exits_2_before_any_call(self, tmp_path, config_path, captions_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("backend called for an unsupported rate factor")
+
+        monkeypatch.setattr(MockBackend, "complete", unreachable)
+        monkeypatch.setattr(MockBackend, "score", unreachable)
+        with pytest.raises(SystemExit) as exited:
+            self.run_eval(tmp_path, config_path, captions_path, "3x", "--rate-factor", "3")
+        assert exited.value.code == 2
+        assert "--rate-factor: invalid choice: 3.0" in capsys.readouterr().err
+        assert list(tmp_path.glob("report-*")) == list(tmp_path.glob("predictions-*")) == []
 
 
 class TestInspectCommand:
@@ -247,6 +301,24 @@ class TestInspectCommand:
         assert main(["inspect", "--repo", str(repo_path), "--scale", "1"]) == 0
         out = capsys.readouterr().out
         assert "scale 1:" in out and "scale 0:" not in out
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("text", "", "description text must be non-empty"),
+            ("occurrences", 0, "occurrences must be >= 1"),
+            ("timestamps", [[5.0, 1.0]], r"invalid span \[5.0, 1.0\]"),
+        ],
+        ids=["empty-text", "no-occurrences", "reversed-span"],
+    )
+    def test_invalid_description_exits_2_naming_it(self, tmp_path, config_path, captions_path, capsys, key, value, problem):
+        repo_path = build_repo(tmp_path, config_path, captions_path)
+        capsys.readouterr()
+        saved = json.loads(repo_path.read_text())
+        saved["scales"][0][0]["descriptions"][0][key] = value
+        repo_path.write_text(json.dumps(saved))
+        assert main(["inspect", "--repo", str(repo_path)]) == 2
+        assert re.search(rf"scales\[0\]\[0\]\.descriptions\[0\]: {problem}", capsys.readouterr().err)
 
     def test_version_mismatch_exits_2(self, tmp_path, config_path, captions_path):
         repo_path = build_repo(tmp_path, config_path, captions_path)

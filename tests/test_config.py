@@ -124,6 +124,8 @@ def test_provider_counts_must_be_json_integers(tmp_path, raw, name):
         ({"llm": {"kind": "http", "endpoint": "http://llm.test/v1"}}, "model"),
         ({"classifier": "vote"}, "classifier"),
         ({"loglik_format": "json"}, "loglik_format"),
+        ({"embed": {"kind": "http-endpoint"}}, "http-endpoint provider needs a location"),
+        ({"embed": {"kind": "precomputed-file"}}, "precomputed-file provider needs a location"),
     ],
 )
 def test_unknown_or_incomplete_choice_rejected(tmp_path, raw, name):

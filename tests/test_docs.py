@@ -1,13 +1,16 @@
 """README's "Library use" section runs as written and documents the package's
-exports, and its "Configuration" block lists every key a config accepts."""
+exports, its "Command line" block uses only commands and flags the parser
+accepts, and its "Configuration" block lists every key a config accepts."""
 
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import langrepo
+from langrepo.cli import build_parser
 from langrepo.config import AppConfig, LlmSettings
 from langrepo.embed import EmbeddingProviderConfig
 from langrepo.repository import BuildConfig
@@ -52,3 +55,14 @@ def test_config_block_lists_every_accepted_key():
     sections["top level"] = sorted(keys.findall(re.sub(r"\{[^{}]*\}", "", block[1:-1])))
     accepted = {"top level": AppConfig, "llm": LlmSettings, "embed": EmbeddingProviderConfig, "build": BuildConfig}
     assert sections == {name: sorted(f.name for f in fields(cls)) for name, cls in accepted.items()}
+
+
+def test_command_line_block_matches_the_parser():
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", text, re.S).group(1).replace("\\\n", " ")
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    lines = [shlex.split(line) for line in block.splitlines() if line.lstrip().startswith("langrepo ")]
+    assert {words[1] for words in lines} == set(subparsers)
+    for _, command, *words in lines:
+        accepted = subparsers[command]._option_string_actions
+        assert [w for w in words if w.startswith("-") and w not in accepted] == [], command

@@ -113,6 +113,21 @@ class TestEmbedTexts:
         with pytest.raises(DimensionMismatch, match="zero vector"):
             embedder.encode(["t"])
 
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [(lambda texts: np.ones((len(texts) + 1, 16)), "shape"), (lambda texts: np.full((len(texts), 16), np.nan), "non-finite")],
+        ids=["extra-row", "nan"],
+    )
+    def test_substituted_provider_output_is_checked(self, rows, problem):
+        class Provider:
+            def embed_batch(self, texts):
+                return rows(texts)
+
+        embedder = Embedder(hashed_cfg())
+        embedder.provider = Provider()
+        with pytest.raises(DimensionMismatch, match=problem):
+            embedder.encode(["t"])
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             EmbeddingProviderConfig(kind="nope")
@@ -193,6 +208,22 @@ class TestHttpProvider:
         provider = HttpEmbeddingProvider(self.cfg(), session=session)
         assert provider.embed_batch(["t"]).shape == (1, 2)
         assert len(session.calls) == 2
+
+    @pytest.mark.parametrize(
+        "reply, problem",
+        [
+            (_FakeResponse(401, text="bad key"), "HTTP 401: bad key"),
+            (_FakeResponse(200, {"data": [[1.0, 0.0]]}), "no vectors"),
+            (_FakeResponse(200, [[1.0, 0.0]]), "no vectors"),
+        ],
+        ids=["http-401", "no-vectors-key", "not-an-object"],
+    )
+    def test_fails_after_one_request(self, reply, problem):
+        session = _FakeSession([reply])
+        provider = HttpEmbeddingProvider(self.cfg(), session=session)
+        with pytest.raises(ProviderUnavailable, match=problem):
+            provider.embed_batch(["t"])
+        assert len(session.calls) == 1
 
     def test_connection_errors_exhaust_retries(self):
         session = _FakeSession([requests.ConnectionError("refused") for _ in range(3)])

@@ -7,7 +7,7 @@ import pytest
 
 from langrepo import evalharness
 from langrepo.embed import Embedder, EmbeddingProviderConfig
-from langrepo.errors import BackendUnavailable, MalformedFile, MissingCaptions, OptionCountError, UnsupportedFactor
+from langrepo.errors import BackendUnavailable, MalformedFile, MissingCaptions, OptionCountError
 from langrepo.evalharness import (
     Providers,
     descriptions_for,
@@ -17,7 +17,6 @@ from langrepo.evalharness import (
     prepare_video,
     predictions_payload,
     report_payload,
-    run_length_ablation,
     write_predictions,
     write_report,
 )
@@ -340,34 +339,6 @@ class TestPreparePerVideo:
         worker.join(timeout=30)
         assert not worker.is_alive(), "evaluate hung after a failed build"
         assert len(raised) == 1
-
-
-class TestLengthAblation:
-    def test_three_factors_three_reports(self):
-        items = [QaItem(**qa_entry("q0"))]
-        captions = {"vid": make_caption_set(12)}
-        reports = run_length_ablation(
-            items, captions, BuildConfig(chunk_schedule=[3, 2]), "langrepo", providers()
-        )
-        assert sorted(reports) == [0.5, 1.0, 2.0]
-        assert all(r.n_items == 1 for r in reports.values())
-
-    def test_identity_factor_matches_plain_evaluate(self):
-        items = [QaItem(**qa_entry("q0"))]
-        captions = {"vid": make_caption_set(12)}
-        cfg = BuildConfig(chunk_schedule=[3, 2])
-        plain = evaluate(items, captions, cfg, "langrepo", providers())
-        ablated = run_length_ablation(items, captions, cfg, "langrepo", providers(), factors=(1.0,))
-        assert ablated[1.0].predictions == plain.predictions
-        assert ablated[1.0].overall_accuracy == plain.overall_accuracy
-
-    def test_unsupported_factor_rejected_before_any_call(self):
-        items = [QaItem(**qa_entry("q0"))]
-        captions = {"vid": make_caption_set(12)}
-        prov = providers()
-        with pytest.raises(UnsupportedFactor, match="3.0"):
-            run_length_ablation(items, captions, BuildConfig(chunk_schedule=[3, 2]), "langrepo", prov, factors=(1.0, 3.0))
-        assert prov.client.ledger.total_calls() == 0
 
 
 class TestModeComparison:

@@ -45,6 +45,10 @@ class TestBuildConfig:
         with pytest.raises(ConfigError):
             BuildConfig(chunk_schedule=[])
 
+    def test_nonpositive_count_rejected(self):
+        with pytest.raises(ConfigError, match="chunk counts must be positive"):
+            BuildConfig(chunk_schedule=[4, 0])
+
     def test_bad_ratios_rejected(self):
         with pytest.raises(ConfigError):
             BuildConfig(grouping_ratio=1.5)
