@@ -40,6 +40,21 @@ class TestRenderRephrase:
         with pytest.raises(ValueError):
             render_rephrase([])
 
+    def test_text_is_pinned(self):
+        # The mock's rephrase reply ignores the prompt, so only this test
+        # sees a change to the template's text; the cache keys depend on it.
+        assert render_rephrase(["a | a'", "b"]) == (
+            "Below is a numbered list of 2 caption groups from one segment of a video."
+            ' Captions inside a group are separated by " | " and describe the same thing.\n'
+            "Rephrase each group into exactly one concise sentence that keeps every"
+            " distinct detail and drops the repetition.\n"
+            "Reply with a numbered list of exactly 2 items, in the same order, one"
+            " sentence per item, and nothing else.\n"
+            "\n"
+            "1. a | a'\n"
+            "2. b"
+        )
+
 
 class TestParseRephraseOutput:
     def test_canonical(self):
@@ -105,6 +120,26 @@ class TestRenderSummarize:
     def test_empty_lines_rejected(self):
         with pytest.raises(ValueError):
             render_summarize([])
+
+    @pytest.mark.parametrize(
+        "question, question_line",
+        [
+            (None, ""),
+            ("What is it?", "Keep this question in mind and keep details that help answer it: What is it?\n"),
+        ],
+    )
+    def test_text_is_pinned(self, question, question_line):
+        assert render_summarize(["[0-2] x (x2)", "y"], question) == (
+            "The lines below describe one segment of a video in temporal order. A bracketed"
+            " range is a timestamp in seconds, and a trailing (xN) marks how many raw"
+            " captions were merged into that line, so give it proportional weight.\n"
+            "\n"
+            "[0-2] x (x2)\n"
+            "y\n"
+            "\n"
+            f"{question_line}Write a short summary of what happens in this segment."
+            " Reply with the summary only."
+        )
 
 
 class TestGenerativePrompt:
@@ -172,6 +207,5 @@ class TestLoglikPrompt:
             render_qa_loglik(qa_input(), 0, "fancy")
 
 
-def test_template_version_reports_assets():
-    version = template_version()
-    assert "rephrase=" in version and "summarize=" in version
+def test_template_version_is_pinned():
+    assert template_version() == "rephrase=v1,summarize=v1"
