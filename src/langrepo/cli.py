@@ -109,6 +109,8 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     repo = load_repo(args.repo)
+    if args.scale is not None and not 0 <= args.scale < len(repo.scales):
+        raise ConfigError(f"--scale {args.scale} is out of range: the repository has {len(repo.scales)} scale(s)")
     display_cfg = dataclasses.replace(
         repo.config, include_timestamps=True, include_occurrences=True
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .embed import Embedder
-from .errors import MalformedFile, MissingCaptions, OptionCountError
+from .errors import EmptyInput, MalformedFile, MissingCaptions, OptionCountError
 from .ingest import chunk_captions  # noqa: F401  bench/tracing.py wraps this name
 from .ingest import CaptionSet, decode, read_json_object
 from .llm import PURPOSES, LlmClient
@@ -64,11 +64,18 @@ class _QaDataset:
 def load_qa_dataset(path: str | Path) -> list[QaItem]:
     """Load the neutral QA schema: {"items": [{question_id, video_id,
     question, options, answer_index?, split_tag?}, ...]}. Keys other than
-    these are ignored."""
+    these are ignored. Raises EmptyInput when there are no items and
+    MalformedFile when a question_id repeats, naming both positions."""
     path = Path(path)
     raw = read_json_object(path, MalformedFile)
     items = decode(_QaDataset, raw, str(path), MalformedFile, reject_unknown=False).items
-    for item in items:
+    if not items:
+        raise EmptyInput(f"{path}: items is empty")
+    first_at: dict[str, int] = {}
+    for i, item in enumerate(items):
+        j = first_at.setdefault(item.question_id, i)
+        if j != i:
+            raise MalformedFile(f"{path}: items[{i}] repeats question_id {item.question_id!r} of items[{j}]")
         if not item.generative_compatible:
             logger.info("item %s has %d options; loglik only", item.question_id, len(item.options))
     return items

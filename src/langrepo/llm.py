@@ -440,8 +440,7 @@ class LlmClient:
         self.backend = backend
         self.cache = ResponseCache(cache_dir)
         self.ledger = CallLedger()
-        self.max_parallel = max(1, max_parallel)
-        self._scheduler = _Scheduler(self.max_parallel)
+        self._scheduler = _Scheduler(max(1, max_parallel))
         self._inflight_lock = threading.Lock()
         self._inflight: dict[str, threading.Event] = {}
 
@@ -462,12 +461,9 @@ class LlmClient:
         queued key, so a question's option scores finish before the next
         question starts. There are max_parallel run places; a thread holds
         none while it holds a backend slot or waits on its own map, so slots
-        never idle behind CPU work. Serial clients and single items run inline.
+        never idle behind CPU work.
         """
-        items = list(items)
-        if self.max_parallel == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        return self._scheduler.map(fn, items)
+        return self._scheduler.map(fn, list(items))
 
     def _cached(self, payload: dict, purpose: str, call: Callable[[], dict]) -> dict:
         """The cached value for payload plus the backend id and model, from

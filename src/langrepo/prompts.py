@@ -1,9 +1,9 @@
 """Prompt rendering and strict parsing of structured replies.
 
-Rephrase and summarize templates are versioned text assets shipped under
-assets/prompts/ (leading "#" lines are metadata, stripped at load). The
-multiple-choice QA formats are fixed strings: a generative prompt that asks
-for a single letter, and two log-likelihood formats that differ in how much
+Every template is a constant here. Saved repositories record the version
+tag of the rephrase and summarize texts, so change the tag with the text.
+The multiple-choice QA formats are a generative prompt that asks for a
+single letter, and two log-likelihood formats that differ in how much
 structure surrounds the scored answer option.
 """
 
@@ -11,14 +11,28 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 from string import Template
 
 from .errors import CountMismatch, FormatError, OptionCountError
 
 GROUP_MEMBER_SEPARATOR = " | "
 LOGLIK_FORMATS = ("plain", "structured")
+
+REPHRASE_TEMPLATE = Template(
+    "Below is a numbered list of ${count} caption groups from one segment of a video."
+    ' Captions inside a group are separated by " | " and describe the same thing.\n'
+    "Rephrase each group into exactly one concise sentence that keeps every distinct detail"
+    " and drops the repetition.\n"
+    "Reply with a numbered list of exactly ${count} items, in the same order, one sentence per item,"
+    " and nothing else.\n\n${items}"
+)
+
+SUMMARIZE_TEMPLATE = Template(
+    "The lines below describe one segment of a video in temporal order. A bracketed range is a timestamp"
+    " in seconds, and a trailing (xN) marks how many raw captions were merged into that line, so give it"
+    " proportional weight.\n\n${lines}\n\n"
+    "${question_line}Write a short summary of what happens in this segment. Reply with the summary only."
+)
 
 GENERATIVE_QA_TEMPLATE = Template(
     "[INST] <<SYS>> You are a helpful expert in first person view video analysis."
@@ -40,7 +54,6 @@ _STRUCTURED_QUESTION = Template(
 _STRUCTURED_LEAD_IN = " The correct answer is, "
 
 ITEM_LINE = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
-_VERSION_LINE = re.compile(r"#\s*template:\s*(\S+)\s+(\S+)")
 
 
 @dataclass(frozen=True)
@@ -53,25 +66,9 @@ class QaPromptInput:
     duration_s: float = 0.0
 
 
-@lru_cache(maxsize=None)
-def _load_asset(name: str) -> tuple[str, str]:
-    """Return (template text, version) for a packaged prompt asset."""
-    raw = resources.files("langrepo").joinpath(f"assets/prompts/{name}.txt").read_text("utf-8")
-    version = "unversioned"
-    body_lines = []
-    for line in raw.splitlines():
-        if line.startswith("#"):
-            m = _VERSION_LINE.match(line)
-            if m:
-                version = m.group(2)
-            continue
-        body_lines.append(line)
-    return "\n".join(body_lines).strip("\n"), version
-
-
 def template_version() -> str:
-    """Combined version tag of the shipped rephrase/summarize templates."""
-    return ",".join(f"{name}={_load_asset(name)[1]}" for name in ("rephrase", "summarize"))
+    """Combined version tag of the rephrase and summarize templates."""
+    return "rephrase=v1,summarize=v1"
 
 
 def option_letter(index: int) -> str:
@@ -89,7 +86,7 @@ def render_rephrase(groups: list[str]) -> str:
     if not groups:
         raise ValueError("groups must be non-empty")
     items = "\n".join(f"{i + 1}. {text}" for i, text in enumerate(groups))
-    return Template(_load_asset("rephrase")[0]).substitute(count=str(len(groups)), items=items)
+    return REPHRASE_TEMPLATE.substitute(count=str(len(groups)), items=items)
 
 
 def parse_rephrase_output(text: str, expected_n: int) -> list[str]:
@@ -127,7 +124,7 @@ def render_summarize(entry_lines: list[str], question: str | None = None) -> str
     question_line = ""
     if question:
         question_line = f"Keep this question in mind and keep details that help answer it: {question}\n"
-    return Template(_load_asset("summarize")[0]).substitute(lines="\n".join(entry_lines), question_line=question_line)
+    return SUMMARIZE_TEMPLATE.substitute(lines="\n".join(entry_lines), question_line=question_line)
 
 
 def _format_duration(duration_s: float) -> str:

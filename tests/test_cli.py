@@ -199,6 +199,32 @@ class TestEvalCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "n, problem",
+        [(0, "items is empty"), (3, r"items\[2\] repeats question_id 'q0' of items\[0\]")],
+        ids=["no-items", "repeated-id"],
+    )
+    def test_bad_dataset_exits_2_before_writing(self, tmp_path, config_path, captions_path, capsys, n, problem):
+        dataset = self.write_dataset(tmp_path, n)
+        saved = json.loads(dataset.read_text())
+        if n:
+            saved["items"][-1]["question_id"] = "q0"
+        dataset.write_text(json.dumps(saved))
+        report_out, predictions_out = tmp_path / "report.json", tmp_path / "predictions.json"
+        code = main(
+            [
+                "eval",
+                "--dataset", str(dataset),
+                "--captions-dir", str(captions_path.parent),
+                "--config", str(config_path),
+                "--report-out", str(report_out),
+                "--predictions-out", str(predictions_out),
+            ]
+        )
+        assert code == 2
+        assert re.search(rf"qa\.json: {problem}", capsys.readouterr().err)
+        assert not report_out.exists() and not predictions_out.exists()
+
 
 @pytest.mark.parametrize(
     "command, flag",
@@ -301,6 +327,13 @@ class TestInspectCommand:
         assert main(["inspect", "--repo", str(repo_path), "--scale", "1"]) == 0
         out = capsys.readouterr().out
         assert "scale 1:" in out and "scale 0:" not in out
+
+    @pytest.mark.parametrize("scale", [2, 7, -1])
+    def test_scale_out_of_range_exits_2_naming_the_count(self, tmp_path, config_path, captions_path, capsys, scale):
+        repo_path = build_repo(tmp_path, config_path, captions_path)
+        capsys.readouterr()
+        assert main(["inspect", "--repo", str(repo_path), "--scale", str(scale)]) == 2
+        assert "the repository has 2 scale(s)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, value, problem",

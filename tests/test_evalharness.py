@@ -7,7 +7,7 @@ import pytest
 
 from langrepo import evalharness
 from langrepo.embed import Embedder, EmbeddingProviderConfig
-from langrepo.errors import BackendUnavailable, MalformedFile, MissingCaptions, OptionCountError
+from langrepo.errors import BackendUnavailable, EmptyInput, MalformedFile, MissingCaptions, OptionCountError
 from langrepo.evalharness import (
     Providers,
     descriptions_for,
@@ -101,6 +101,15 @@ class TestLoadQaDataset:
         entry["options"][3] = entry["options"][1]
         with pytest.raises(MalformedFile, match=r"qa\.json: items\[1\]: item 'q1'.*distinct"):
             load_qa_dataset(dataset_file(tmp_path, [qa_entry("q0"), entry]))
+
+    def test_no_items_rejected(self, tmp_path):
+        with pytest.raises(EmptyInput, match=r"qa\.json: items is empty"):
+            load_qa_dataset(dataset_file(tmp_path, []))
+
+    def test_repeated_question_id_rejected_naming_both_positions(self, tmp_path):
+        entries = [qa_entry("q0"), qa_entry("q1"), qa_entry("q2"), qa_entry("q1")]
+        with pytest.raises(MalformedFile, match=r"qa\.json: items\[3\] repeats question_id 'q1' of items\[1\]"):
+            load_qa_dataset(dataset_file(tmp_path, entries))
 
 
 class TestEvaluate:
@@ -339,6 +348,8 @@ class TestPreparePerVideo:
         worker.join(timeout=30)
         assert not worker.is_alive(), "evaluate hung after a failed build"
         assert len(raised) == 1
+        # "bad" sorts first; the other two videos were still built and read
+        assert prov.client.ledger.snapshot()["summarize"] == 2 * self.entries
 
 
 class TestModeComparison:

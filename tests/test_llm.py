@@ -614,9 +614,35 @@ class TestConcurrency:
 
         assert client.map(slow_first, range(8)) == list(range(8))
 
-    def test_map_runs_inline_when_serial(self):
-        client = LlmClient(MockBackend(), max_parallel=1)
-        assert client.map(lambda _: threading.get_ident(), range(3)) == [threading.get_ident()] * 3
+    @pytest.mark.parametrize("max_parallel", [1, 4])
+    def test_failing_item_raises_only_after_every_other_item_ran(self, max_parallel):
+        client = LlmClient(MockBackend(), max_parallel=max_parallel)
+        ran = []
+
+        def fn(i):
+            ran.append(i)
+            if i == 1:
+                raise BackendUnavailable("item 1")
+            return i
+
+        with pytest.raises(BackendUnavailable, match="item 1"):
+            client.map(fn, range(5))
+        assert sorted(ran) == list(range(5))
+
+    @pytest.mark.parametrize("max_parallel", [1, 4])
+    def test_context_set_in_a_one_item_map_stays_inside_it(self, max_parallel):
+        client = LlmClient(MockBackend(), max_parallel=max_parallel)
+
+        def fn(_):
+            REQUEST_ID.set("item")
+            return REQUEST_ID.get()
+
+        token = REQUEST_ID.set("caller")
+        try:
+            assert client.map(fn, ["only"]) == ["item"]
+            assert REQUEST_ID.get() == "caller"
+        finally:
+            REQUEST_ID.reset(token)
 
     def test_map_carries_caller_context_into_nested_backend_calls(self):
         backend = ContextRecordingBackend()
