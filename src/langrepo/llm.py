@@ -4,7 +4,7 @@ One client fronts an OpenAI-compatible /completions endpoint or a
 deterministic mock, adding retries, a content-addressed response cache, a
 per-purpose call ledger, the one loop that re-asks until a reply parses,
 and one scheduler that bounds backend requests in flight and runs the
-fan-out helper (map) every concurrent caller goes through.
+fan-out helper (map) every caller goes through, at any parallelism.
 The cache persists to one SQLite file when a directory is configured,
 which makes repository builds resumable and lets repeated runs issue zero
 new backend calls.
