@@ -59,3 +59,27 @@ def test_tracer_and_probe_install_trace_and_restore(tracing, caption_set_60, has
     assert len(probe.builds) == 1 and len(probe.question_s) == 3
     scores = [s for s in tracer.spans if s.name == "llm.score"]
     assert Counter(s.question for s in scores) == {it.question_id: 4 for it in items}
+
+
+# Traced points that only file I/O reaches, which evaluate does none of.
+FILE_POINTS = {"ingest.load_captions", "repository.load", "repository.save"}
+
+
+def test_langrepo_evaluate_yields_a_span_at_every_traced_point_but_file_io(
+    tracing, caption_set_60, hashed_embedder
+):
+    # A layer its caller reaches through a local alias would record no span,
+    # and its per-layer metric would read 0 in every traced benchmark run.
+    tracer, patches = tracing.Tracer(max_text_chars=256), tracing.Patches()
+    points = set()
+    wrapper = tracer._wrapper
+    tracer._wrapper = lambda name, info=None: points.add(name) or wrapper(name, info)
+    item = QaItem("q0", "vid", "What does C do", ["cook", "read a book", "sweep", "sleep"], 0)
+    try:
+        tracer.install(patches, langrepo)
+        providers = Providers(LlmClient(MockBackend()), hashed_embedder)
+        langrepo.evalharness.evaluate([item], {"vid": caption_set_60}, BuildConfig(), "langrepo", providers)
+    finally:
+        patches.restore()
+    assert FILE_POINTS < points
+    assert {s.name for s in tracer.spans} == points - FILE_POINTS
