@@ -461,9 +461,10 @@ class LlmClient:
         queued key, so a question's option scores finish before the next
         question starts. There are max_parallel run places; a thread holds
         none while it holds a backend slot or waits on its own map, so slots
-        never idle behind CPU work.
+        never idle behind CPU work. A map over no items starts nothing.
         """
-        return self._scheduler.map(fn, list(items))
+        items = list(items)
+        return self._scheduler.map(fn, items) if items else []
 
     def _cached(self, payload: dict, purpose: str, call: Callable[[], dict]) -> dict:
         """The cached value for payload plus the backend id and model, from

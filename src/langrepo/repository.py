@@ -1,13 +1,16 @@
 """The textual repository: iterative write with pruning and rephrasing,
 re-chunking across scales, multi-scale read, and canonical persistence.
 
-One write takes a chunk of descriptions, groups the most redundant ones,
-rewrites every group as a single concise sentence through one LLM call,
-and stores the result together with merged timestamps and an occurrence
-counter. Writes repeat over increasingly longer chunks (one repository
-scale per pass): the first over the captions, which chunking turns into
-one-span descriptions, each later one over the previous scale's
-descriptions. Reads summarize each stored entry separately.
+One write pass takes the chunks of one scale in three steps. Plan, on the
+calling thread: group the most redundant descriptions of every chunk, with
+one embedding call for the whole pass. Rephrase: one fan-out of LLM calls,
+one per chunk that has groups, each rewriting every group of its chunk as
+a single concise sentence. Assemble: store the result together with merged
+timestamps and an occurrence counter. Passes repeat over increasingly
+longer chunks (one repository scale per pass): the first over the
+captions, which chunking turns into one-span descriptions, each later one
+over the previous scale's descriptions. Reads summarize each stored entry
+separately.
 """
 
 from __future__ import annotations
@@ -25,13 +28,8 @@ from .embed import Embedder, similarity_matrix
 from .errors import ConfigError, MalformedFile, VersionMismatch, require_min
 from .ingest import CaptionSet, RepoDescription, RepoEntry, chunk_captions, chunk_items, decode, read_json_object
 from .llm import GenerationRequest, LlmClient
-from .prompts import (
-    GROUP_MEMBER_SEPARATOR,
-    parse_rephrase_output,
-    render_rephrase,
-    render_summarize,
-    template_version,
-)
+from .prompts import GROUP_MEMBER_SEPARATOR, parse_rephrase_output, render_rephrase, render_summarize
+from .prompts import template_version
 
 logger = logging.getLogger(__name__)
 
@@ -118,54 +116,59 @@ def _rephrase_groups(
 
 
 def write_to_repo(
-    chunk: RepoEntry, cfg: BuildConfig, embedder: Embedder, client: LlmClient,
+    chunks: list[RepoEntry], cfg: BuildConfig, embedder: Embedder, client: LlmClient,
     *, vectors: dict[str, np.ndarray] | None = None,
-) -> RepoEntry:
-    """Prune one chunk and store the surviving descriptions.
+) -> list[RepoEntry]:
+    """One write pass: prune every chunk of a scale and store the surviving
+    descriptions, one entry per chunk, in order.
 
-    Grouped members get one rephrased text with the union of their time
-    spans and summed occurrences; everything else passes through verbatim.
-    The entry holds exactly p - floor(x * |src|) descriptions, ordered by
-    earliest timestamp.
+    Plan, on the calling thread: split every chunk, embed the texts of the
+    chunks that group in one encode call, then match and group. Rephrase:
+    one client.map sends the request of every chunk that has groups.
+    Assemble: grouped members get one rephrased text with the union of
+    their time spans and summed occurrences; everything else passes through
+    verbatim. Each entry holds exactly p - floor(x * |src|) descriptions,
+    ordered by earliest timestamp.
 
     vectors maps texts to their unit vectors: only texts it lacks are
-    embedded, and they are added to it. Two writes sharing it at the same
-    moment may both embed a text they share; both get the same vector.
+    embedded, and they are added to it.
     """
-    items = chunk.descriptions
-    if not items:
-        raise ValueError("chunk must be non-empty")
-    p = len(items)
+    sizes = [len(chunk.descriptions) for chunk in chunks]
+    if not all(sizes):
+        raise ValueError("every chunk must be non-empty")
     known = {} if vectors is None else vectors
 
-    groups: list[grouping.CaptionGroup] = []
-    pass_through = list(range(p))
-    if p >= 2:
-        split_result = grouping.split(p, cfg.dst_ratio)
-        if int(cfg.grouping_ratio * len(split_result.src_indices)) >= 1:
-            missing = list(dict.fromkeys(d.text for d in items if d.text not in known))
-            if missing:
-                known.update(zip(missing, embedder.encode(missing)))
-            matrix = np.stack([known[d.text] for d in items])
-            sim = similarity_matrix(
-                matrix[list(split_result.src_indices)],
-                matrix[list(split_result.dst_indices)],
-            )
-            groups, pass_through = grouping.match_and_group(sim, split_result, cfg.grouping_ratio)
+    splits = {i: grouping.split(p, cfg.dst_ratio) for i, p in enumerate(sizes) if p >= 2}
+    splits = {i: sp for i, sp in splits.items() if int(cfg.grouping_ratio * len(sp.src_indices)) >= 1}
+    missing = list(dict.fromkeys(d.text for i in splits for d in chunks[i].descriptions if d.text not in known))
+    if missing:
+        known.update(zip(missing, embedder.encode(missing)))
+    plans = [([], range(p)) for p in sizes]  # (groups, pass-through positions); all pass by default
+    for i, sp in splits.items():
+        matrix = np.stack([known[d.text] for d in chunks[i].descriptions])
+        sim = similarity_matrix(matrix[list(sp.src_indices)], matrix[list(sp.dst_indices)])
+        plans[i] = grouping.match_and_group(sim, sp, cfg.grouping_ratio)
 
-    keyed: list[tuple[tuple[float, int], RepoDescription]] = []
-    if groups:
-        member_texts = [[items[m].text for m in grp.members()] for grp in groups]
-        rephrased = _rephrase_groups(member_texts, cfg, client)
-        for grp, text in zip(groups, rephrased):
+    member_texts = {
+        i: [[chunks[i].descriptions[m].text for m in grp.members()] for grp in groups]
+        for i, (groups, _) in enumerate(plans) if groups
+    }
+    fan_out = client.map(lambda i: _rephrase_groups(member_texts[i], cfg, client), member_texts)
+    rephrased = dict(zip(member_texts, fan_out))
+
+    entries = []
+    for i, (chunk, (groups, pass_through)) in enumerate(zip(chunks, plans)):
+        items = chunk.descriptions
+        keyed: list[tuple[tuple[float, int], RepoDescription]] = []
+        for grp, text in zip(groups, rephrased.get(i, ())):
             members = grp.members()
             spans = merge_spans([span for m in members for span in items[m].timestamps])
             occurrences = sum(items[m].occurrences for m in members)
             keyed.append(((spans[0][0], members[0]), RepoDescription(text, spans, occurrences)))
-    keyed.extend(((items[index].earliest_s, index), items[index]) for index in pass_through)
-
-    keyed.sort(key=lambda pair: pair[0])
-    return RepoEntry(chunk_index=chunk.chunk_index, descriptions=[d for _, d in keyed])
+        keyed.extend(((items[index].earliest_s, index), items[index]) for index in pass_through)
+        keyed.sort(key=lambda pair: pair[0])
+        entries.append(RepoEntry(chunk_index=chunk.chunk_index, descriptions=[d for _, d in keyed]))
+    return entries
 
 
 def build(
@@ -184,26 +187,11 @@ def build(
             items = [d for entry in scales[-1] for d in entry.descriptions]
             vectors = {d.text: vectors[d.text] for d in items if d.text in vectors}
             chunks = chunk_items(items, n_chunks)
-        entries = client.map(lambda ch: write_to_repo(ch, cfg, embedder, client, vectors=vectors), chunks)
-        logger.info(
-            "scale %d: %d chunks -> %d descriptions",
-            scale,
-            len(entries),
-            sum(len(e.descriptions) for e in entries),
-        )
-        scales.append(entries)
-    provenance = {
-        "captioner": captioner,
-        "template_version": template_version(),
-        "backend_id": client.backend_id,
-    }
-    return Repository(
-        video_id=captions.video_id,
-        duration_s=captions.duration_s,
-        scales=scales,
-        config=cfg,
-        provenance=provenance,
-    )
+        scales.append(write_to_repo(chunks, cfg, embedder, client, vectors=vectors))
+        n_out = sum(len(entry.descriptions) for entry in scales[-1])
+        logger.info("scale %d: %d chunks -> %d descriptions", scale, len(chunks), n_out)
+    provenance = {"captioner": captioner, "template_version": template_version(), "backend_id": client.backend_id}
+    return Repository(captions.video_id, captions.duration_s, scales, cfg, provenance)
 
 
 def render_description_line(d: RepoDescription, cfg: BuildConfig) -> str:

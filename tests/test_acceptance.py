@@ -83,7 +83,7 @@ def test_criterion_2_description_count_law():
         cfg = BuildConfig(chunk_schedule=[1], grouping_ratio=x, dst_ratio=0.25)
         texts = [f"actor {trial} performs step {i} variant {int(rng.integers(0, 9))}" for i in range(p)]
         items = [RepoDescription(text, [[float(i), float(i + 1)]]) for i, text in enumerate(texts)]
-        entry = write_to_repo(RepoEntry(chunk_index=0, descriptions=items), cfg, embedder, client)
+        entry = write_to_repo([RepoEntry(chunk_index=0, descriptions=items)], cfg, embedder, client)[0]
         if p == 1:
             expected = 1
         else:
@@ -348,8 +348,8 @@ def test_criterion_9_rephrase_parser_robustness(angled_caption_set, angled_embed
     for reply in GARBAGE_REPLIES:
         client = LlmClient(MockBackend(purpose_replies={"rephrase": reply}))
         entry = write_to_repo(
-            chunk_captions(angled_caption_set, 1)[0], fallback_cfg, angled_embedder, client
-        )
+            [chunk_captions(angled_caption_set, 1)[0]], fallback_cfg, angled_embedder, client
+        )[0]
         got = [d.text for d in entry.descriptions]
         assert got[0] == f"{texts[0]}; {texts[1]}"
         assert got[1] == f"{texts[2]}; {texts[4]}"

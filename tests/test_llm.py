@@ -644,6 +644,21 @@ class TestConcurrency:
         finally:
             REQUEST_ID.reset(token)
 
+    def test_empty_nested_map_keeps_the_callers_run_place(self):
+        # A write pass whose chunks have nothing to group maps over no
+        # items; at parallelism 1 that must not let a queued item start.
+        client = LlmClient(MockBackend(), max_parallel=1)
+        events = []
+
+        def fn(i):
+            events.append(f"{i} start")
+            assert client.map(str, []) == []
+            time.sleep(0.05)
+            events.append(f"{i} end")
+
+        client.map(fn, range(2))
+        assert events == ["0 start", "0 end", "1 start", "1 end"]
+
     def test_map_carries_caller_context_into_nested_backend_calls(self):
         backend = ContextRecordingBackend()
         client = LlmClient(backend, max_parallel=3)

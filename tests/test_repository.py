@@ -80,7 +80,7 @@ class TestWriteToRepo:
 
     def test_single_caption_bypasses(self, hashed_embedder, mock_client):
         chunk = chunk_captions(make_caption_set(1), 1)[0]
-        entry = write_to_repo(chunk, self.cfg(), hashed_embedder, mock_client)
+        entry = write_to_repo([chunk], self.cfg(), hashed_embedder, mock_client)[0]
         assert len(entry.descriptions) == 1
         d = entry.descriptions[0]
         assert d.occurrences == 1
@@ -103,7 +103,7 @@ class TestWriteToRepo:
         assert [s for s, _ in ref_groups[4]] == [2]
         assert ref_pass == [3, 5]
 
-        entry = write_to_repo(chunk, self.cfg(), angled_embedder, mock_client)
+        entry = write_to_repo([chunk], self.cfg(), angled_embedder, mock_client)[0]
         assert len(entry.descriptions) == 4  # p - g = 6 - 2
         first, second, third, fourth = entry.descriptions
         assert first.text == ANGLED_TEXTS[0]  # echo of group {0, 1}
@@ -121,7 +121,7 @@ class TestWriteToRepo:
     ):
         client = LlmClient(MockBackend(purpose_replies={"rephrase": "garbage"}))
         chunk = chunk_captions(angled_caption_set, 1)[0]
-        entry = write_to_repo(chunk, self.cfg(rephrase_retries=2), angled_embedder, client)
+        entry = write_to_repo([chunk], self.cfg(rephrase_retries=2), angled_embedder, client)[0]
         assert client.ledger.snapshot()["rephrase"] == 3  # 1 + 2 retries
         texts = [d.text for d in entry.descriptions]
         assert texts[0] == f"{ANGLED_TEXTS[0]}; {ANGLED_TEXTS[1]}"
@@ -132,7 +132,7 @@ class TestWriteToRepo:
             MockBackend(purpose_replies={"rephrase": ["nonsense", "1. fixed a\n2. fixed b"]})
         )
         chunk = chunk_captions(angled_caption_set, 1)[0]
-        entry = write_to_repo(chunk, self.cfg(rephrase_retries=2), angled_embedder, client)
+        entry = write_to_repo([chunk], self.cfg(rephrase_retries=2), angled_embedder, client)[0]
         assert client.ledger.snapshot()["rephrase"] == 2
         assert [d.text for d in entry.descriptions][:2] == ["fixed a", "fixed b"]
 
@@ -143,13 +143,13 @@ class TestWriteToRepo:
             def encode(self, texts):
                 raise AssertionError("embedding should not run when nothing groups")
 
-        entry = write_to_repo(chunk, self.cfg(grouping_ratio=0.0), ExplodingEmbedder(), mock_client)
+        entry = write_to_repo([chunk], self.cfg(grouping_ratio=0.0), ExplodingEmbedder(), mock_client)[0]
         assert len(entry.descriptions) == 6
         assert mock_client.ledger.total_calls() == 0
 
     def test_empty_chunk_rejected(self, hashed_embedder, mock_client):
         with pytest.raises(ValueError):
-            write_to_repo(RepoEntry(chunk_index=0, descriptions=[]), self.cfg(), hashed_embedder, mock_client)
+            write_to_repo([RepoEntry(chunk_index=0, descriptions=[])], self.cfg(), hashed_embedder, mock_client)[0]
 
 
 class TestChunkItems:
@@ -187,6 +187,18 @@ class CountingEmbedder(Embedder):
     def encode(self, texts):
         with self._lock:
             self.encoded.extend(texts)
+        return super().encode(texts)
+
+
+class CallCountingEmbedder(CountingEmbedder):
+    """A counting embedder that also keeps the texts of each encode call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: list[list[str]] = []
+
+    def encode(self, texts):
+        self.calls.append(list(texts))
         return super().encode(texts)
 
 
@@ -247,6 +259,22 @@ class TestBuild:
         written |= {d.text for scale in repo.scales[:-1] for entry in scale for d in entry.descriptions}
         assert len(embedder.encoded) == len(written) == 600
 
+    @pytest.mark.parametrize("max_parallel", [1, 8])
+    def test_one_encode_call_per_write_pass_with_new_texts(self, max_parallel):
+        embedder = CallCountingEmbedder()
+        build(make_caption_set(600), BuildConfig(), embedder, LlmClient(MockBackend(), max_parallel=max_parallel))
+        # The mock rephraser echoes a group's first member, so only scale 0
+        # brings new texts.
+        assert [len(call) for call in embedder.calls] == [600]
+
+    @pytest.mark.parametrize("max_parallel", [1, 8])
+    def test_a_text_every_chunk_shares_is_embedded_once(self, max_parallel):
+        texts = [f"C does step {k}" for k in range(5)]
+        captions = CaptionSet("vid", 40.0, [Caption(f"c{i}", float(i), i + 1.0, texts[i % 5]) for i in range(40)])
+        embedder = CallCountingEmbedder()
+        build(captions, BuildConfig(chunk_schedule=[4]), embedder, LlmClient(MockBackend(), max_parallel=max_parallel))
+        assert embedder.calls == [texts]
+
     @settings(max_examples=5, deadline=None)
     @given(
         n=st.integers(1_000, 10_000),
@@ -294,7 +322,7 @@ class TestBuild:
         for scale, n_chunks in enumerate(cfg.chunk_schedule):
             if scale > 0:
                 chunks = chunk_items([d for entry in scales[-1] for d in entry.descriptions], n_chunks)
-            scales.append([write_to_repo(ch, cfg, hashed_embedder, mock_client) for ch in chunks])
+            scales.append([write_to_repo([ch], cfg, hashed_embedder, mock_client)[0] for ch in chunks])
         assert build(captions, cfg, hashed_embedder, mock_client).scales == scales
 
 
