@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .embed import Embedder, EmbeddingProviderConfig
-from .errors import ConfigError, require_min
+from .errors import ConfigError, require_min, require_timing
 from .evalharness import Providers
 from .ingest import decode, read_json_object
 from .llm import HttpBackend, LlmClient, MockBackend
@@ -39,6 +39,7 @@ class LlmSettings:
         if self.kind == "http" and (not self.endpoint or not self.model):
             raise ConfigError("llm.kind 'http' requires endpoint and model")
         require_min("llm.max_retries", self.max_retries, 0)
+        require_timing("llm", self.timeout_s, self.backoff_s)
 
 
 @dataclass

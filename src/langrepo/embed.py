@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, MalformedFile, MissingEmbedding, ProviderUnavailable, require_min
+from .errors import ConfigError, DimensionMismatch, MalformedFile, MissingEmbedding, ProviderUnavailable
+from .errors import require_min, require_timing
 from .ingest import decode, read_json_object
 
 if TYPE_CHECKING:
@@ -49,6 +50,7 @@ class EmbeddingProviderConfig:
         require_min("embed.dimension", self.dimension, 1)
         require_min("embed.max_text_chars", self.max_text_chars, 1)
         require_min("embed.max_retries", self.max_retries, 0)
+        require_timing("embed", self.timeout_s, self.backoff_s)
         if self.kind in ("precomputed-file", "http-endpoint") and not self.location:
             raise ConfigError(f"{self.kind} provider needs a location")
 

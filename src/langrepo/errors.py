@@ -9,10 +9,17 @@ class ConfigError(LangRepoError):
     """Invalid configuration (bad schedule, ratio out of range, unknown kind)."""
 
 
-def require_min(name: str, value: int, minimum: int) -> None:
+def require_min(name: str, value: float, minimum: float) -> None:
     """ConfigError naming the field unless value >= minimum."""
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def require_timing(section: str, timeout_s: float, backoff_s: float) -> None:
+    """ConfigError naming the field unless an HTTP client's timeout_s > 0 and backoff_s >= 0."""
+    if timeout_s <= 0:
+        raise ConfigError(f"{section}.timeout_s must be > 0, got {timeout_s!r}")
+    require_min(f"{section}.backoff_s", backoff_s, 0)
 
 
 class MalformedFile(LangRepoError):

@@ -133,6 +133,51 @@ def test_unknown_or_incomplete_choice_rejected(tmp_path, raw, name):
         load_app_config(write_config(tmp_path, raw))
 
 
+HTTP_LLM = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m"}
+HTTP_EMBED = {"kind": "http-endpoint", "location": "http://127.0.0.1:9/embed"}
+
+
+@pytest.mark.parametrize(
+    "raw, name",
+    [
+        ({"llm": {**HTTP_LLM, "timeout_s": 0}}, "llm.timeout_s must be > 0"),
+        ({"llm": {"timeout_s": -1.5}}, "llm.timeout_s must be > 0"),
+        ({"llm": {**HTTP_LLM, "backoff_s": -1}}, "llm.backoff_s must be >= 0"),
+        ({"embed": {**HTTP_EMBED, "timeout_s": 0.0}}, "embed.timeout_s must be > 0"),
+        ({"embed": {"timeout_s": -30}}, "embed.timeout_s must be > 0"),
+        ({"embed": {**HTTP_EMBED, "backoff_s": -1}}, "embed.backoff_s must be >= 0"),
+    ],
+)
+def test_bad_timeout_or_backoff_rejected(tmp_path, raw, name):
+    with pytest.raises(ConfigError, match=name):
+        load_app_config(write_config(tmp_path, raw))
+
+
+def test_zero_backoff_accepted(tmp_path):
+    cfg = load_app_config(write_config(tmp_path, {"llm": {"backoff_s": 0}, "embed": {"backoff_s": 0.0}}))
+    assert cfg.llm.backoff_s == cfg.embed.backoff_s == 0
+
+
+@pytest.mark.parametrize(
+    "raw, name",
+    [
+        ({"llm": {**HTTP_LLM, "timeout_s": 0}}, "llm.timeout_s"),
+        ({"embed": {**HTTP_EMBED, "backoff_s": -1}}, "embed.backoff_s"),
+    ],
+)
+def test_build_with_bad_timing_exits_2_before_any_request(tmp_path, capsys, monkeypatch, raw, name):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr("requests.Session.post", unreachable)
+    captions = write_caption_file(tmp_path / "vid.json", make_caption_set(12))
+    out = tmp_path / "repo.json"
+    code = main(["build", "--captions", str(captions), "--config", write_config(tmp_path, raw), "--out", str(out)])
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_with_non_integer_schedule_exits_2(tmp_path, capsys):
     captions = write_caption_file(tmp_path / "vid.json", make_caption_set(12))
     config = write_config(tmp_path, {"build": {"chunk_schedule": ["x"]}})
