@@ -285,6 +285,13 @@ class TestRateFactor:
         plain = self.run_eval(tmp_path, config_path, captions_path, "plain")
         assert self.run_eval(tmp_path, config_path, captions_path, "1x", "--rate-factor", "1.0") == plain
 
+    def test_report_records_the_factor(self, tmp_path, config_path, captions_path):
+        plain, _ = self.run_eval(tmp_path, config_path, captions_path, "plain")
+        assert json.loads(plain)["rate_factor"] == 1.0
+        for factor in (0.5, 2.0):
+            report, _ = self.run_eval(tmp_path, config_path, captions_path, f"{factor}x", "--rate-factor", str(factor))
+            assert json.loads(report)["rate_factor"] == factor
+
     def test_factor_predicts_as_evaluate_on_transformed_captions(self, tmp_path, config_path, captions_path):
         items = evalharness.load_qa_dataset(TestEvalCommand().write_dataset(tmp_path))
         written = {}
