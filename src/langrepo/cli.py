@@ -27,7 +27,8 @@ from .errors import (
     VersionMismatch,
 )
 from .ingest import RATE_FACTORS, load_captions, transform_rate
-from .repository import load as load_repo, render_description_line, save as save_repo
+from .repository import load as load_repo
+from .repository import render_description_line, save as save_repo
 from .vqa import QaItem
 
 USAGE_ERRORS = (
@@ -100,9 +101,7 @@ def cmd_eval(args) -> int:
         loglik_format=cfg.loglik_format,
     )
     print(evalharness.format_report(report))
-    payload = {**evalharness.report_payload(report), "rate_factor": args.rate_factor}
-    report_json = json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
-    Path(args.report_out).write_text(report_json, encoding="utf-8")
+    evalharness.write_report(report, args.report_out, rate_factor=args.rate_factor)
     evalharness.write_predictions(report.predictions, args.predictions_out)
     print(f"wrote {args.report_out} and {args.predictions_out}")
     return 0

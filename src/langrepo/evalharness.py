@@ -247,9 +247,9 @@ def report_payload(report: EvalReport) -> dict:
     }
 
 
-def write_report(report: EvalReport, path: str | Path) -> None:
+def write_report(report: EvalReport, path: str | Path, **extra) -> None:
     Path(path).write_text(
-        json.dumps(report_payload(report), indent=2, ensure_ascii=False, sort_keys=True) + "\n",
+        json.dumps({**report_payload(report), **extra}, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
         encoding="utf-8",
     )
 
