@@ -28,8 +28,13 @@ from .embed import Embedder, similarity_matrix
 from .errors import ConfigError, MalformedFile, VersionMismatch, require_min
 from .ingest import CaptionSet, RepoDescription, RepoEntry, chunk_captions, chunk_items, decode, read_json_object
 from .llm import GenerationRequest, LlmClient
-from .prompts import GROUP_MEMBER_SEPARATOR, parse_rephrase_output, render_rephrase, render_summarize
-from .prompts import template_version
+from .prompts import (
+    GROUP_MEMBER_SEPARATOR,
+    parse_rephrase_output,
+    render_rephrase,
+    render_summarize,
+    template_version,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -187,11 +192,26 @@ def build(
             items = [d for entry in scales[-1] for d in entry.descriptions]
             vectors = {d.text: vectors[d.text] for d in items if d.text in vectors}
             chunks = chunk_items(items, n_chunks)
-        scales.append(write_to_repo(chunks, cfg, embedder, client, vectors=vectors))
-        n_out = sum(len(entry.descriptions) for entry in scales[-1])
-        logger.info("scale %d: %d chunks -> %d descriptions", scale, len(chunks), n_out)
-    provenance = {"captioner": captioner, "template_version": template_version(), "backend_id": client.backend_id}
-    return Repository(captions.video_id, captions.duration_s, scales, cfg, provenance)
+        entries = write_to_repo(chunks, cfg, embedder, client, vectors=vectors)
+        logger.info(
+            "scale %d: %d chunks -> %d descriptions",
+            scale,
+            len(entries),
+            sum(len(e.descriptions) for e in entries),
+        )
+        scales.append(entries)
+    provenance = {
+        "captioner": captioner,
+        "template_version": template_version(),
+        "backend_id": client.backend_id,
+    }
+    return Repository(
+        video_id=captions.video_id,
+        duration_s=captions.duration_s,
+        scales=scales,
+        config=cfg,
+        provenance=provenance,
+    )
 
 
 def render_description_line(d: RepoDescription, cfg: BuildConfig) -> str:
