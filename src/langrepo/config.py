@@ -80,4 +80,5 @@ def make_client(cfg: AppConfig) -> LlmClient:
 
 
 def make_providers(cfg: AppConfig) -> Providers:
-    return Providers(client=make_client(cfg), embedder=Embedder(cfg.embed))
+    client = make_client(cfg)
+    return Providers(client=client, embedder=Embedder(cfg.embed, map_batches=client.map))

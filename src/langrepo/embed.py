@@ -4,8 +4,9 @@ Three provider kinds:
 
 * ``precomputed-file``: JSON object mapping exact text -> vector; offline
   and reproducible.
-* ``http-endpoint``: POST {"texts": [...]} -> {"vectors": [[...], ...]}.
-  API key read from the LANGREPO_EMBED_KEY environment variable.
+* ``http-endpoint``: POST {"texts": [...]} -> {"vectors": [[...], ...]},
+  in batches of 64 texts. API key read from the LANGREPO_EMBED_KEY
+  environment variable.
 * ``hashed``: deterministic pseudo-embeddings derived from a content hash;
   lets the full pipeline run without any model or network.
 """
@@ -14,14 +15,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, MalformedFile, MissingEmbedding, ProviderUnavailable
-from .errors import require_min, require_timing
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    MalformedFile,
+    MissingEmbedding,
+    ProviderUnavailable,
+    require_min,
+    require_timing,
+)
 from .ingest import decode, read_json_object
 
 if TYPE_CHECKING:
@@ -80,17 +89,20 @@ class PrecomputedFileProvider:
 
 
 class HttpEmbeddingProvider:
-    def __init__(self, cfg: EmbeddingProviderConfig, session: Session | None = None):
+    def __init__(
+        self, cfg: EmbeddingProviderConfig, session: Session | None = None, map_batches: Callable | None = None
+    ):
         from . import transport
 
         self.cfg = cfg
         self.session = session or transport.new_session()
+        # map_batches(post, batches) posts every batch of one call. config.make_providers passes
+        # LlmClient.map, so they are in flight together within the parallelism; by default, in turn.
+        self.map_batches = map_batches or (lambda post, batches: list(map(post, batches)))
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        out = []
-        for start in range(0, len(texts), _HTTP_BATCH):
-            out.extend(self._post(texts[start : start + _HTTP_BATCH]))
-        return np.asarray(out, dtype=np.float64)
+        batches = [texts[start : start + _HTTP_BATCH] for start in range(0, len(texts), _HTTP_BATCH)]
+        return np.asarray([v for vectors in self.map_batches(self._post, batches) for v in vectors], dtype=np.float64)
 
     def _post(self, batch: list[str]) -> list[list[float]]:
         from . import transport
@@ -140,12 +152,14 @@ class Embedder:
     that has embed_batch.
     """
 
-    def __init__(self, cfg: EmbeddingProviderConfig, session: Session | None = None):
+    def __init__(
+        self, cfg: EmbeddingProviderConfig, session: Session | None = None, map_batches: Callable | None = None
+    ):
         self.cfg = cfg
         if cfg.kind == "precomputed-file":
             self.provider = PrecomputedFileProvider(cfg)
         elif cfg.kind == "http-endpoint":
-            self.provider = HttpEmbeddingProvider(cfg, session=session)
+            self.provider = HttpEmbeddingProvider(cfg, session=session, map_batches=map_batches)
         else:
             self.provider = HashedEmbeddingProvider(cfg)
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
 import requests
 
+from langrepo.config import AppConfig, make_providers
 from langrepo.embed import (
     Embedder,
     EmbeddingProviderConfig,
@@ -18,6 +20,7 @@ from langrepo.errors import (
     MissingEmbedding,
     ProviderUnavailable,
 )
+from langrepo.llm import LlmClient, MockBackend
 
 
 def hashed_cfg(dimension=16):
@@ -253,6 +256,24 @@ class TestHttpProvider:
         provider = HttpEmbeddingProvider(self.cfg(), session=session)
         provider.embed_batch(["t"])
         assert session.calls[0]["headers"]["Authorization"] == "Bearer sekret"
+
+    def test_batches_of_one_call_are_in_flight_together_through_the_client_map(self):
+        texts = [f"t{i}" for i in range(150)]  # three batches of at most 64
+        barrier = threading.Barrier(3, timeout=10)  # broken unless all three posts wait at once
+
+        class Session:
+            def post(self, url, json=None, headers=None, timeout=None):
+                barrier.wait()
+                return _FakeResponse(200, {"vectors": [[float(t[1:]), 1.0] for t in json["texts"]]})
+
+        client = LlmClient(MockBackend(), max_parallel=4)
+        provider = HttpEmbeddingProvider(self.cfg(), session=Session(), map_batches=client.map)
+        np.testing.assert_array_equal(provider.embed_batch(texts)[:, 0], np.arange(150))
+
+    def test_make_providers_sends_embedding_batches_through_the_client_map(self):
+        embed = EmbeddingProviderConfig(kind="http-endpoint", location="http://embed.test/v1")
+        providers = make_providers(AppConfig(embed=embed))
+        assert providers.embedder.provider.map_batches == providers.client.map
 
 
 class TestSimilarityMatrix:
