@@ -190,11 +190,14 @@ class RepoDescription:
     occurrences: int = 1
 
     def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("description text must be non-empty")
-        if self.occurrences < 1:
-            raise ValueError("occurrences must be >= 1")
+        # Exactly the values load reads back, so that whatever save writes loads.
+        if type(self.text) is not str or not self.text:
+            raise ValueError(f"description text must be non-empty and a string, got {self.text!r}")
+        if type(self.occurrences) is not int or self.occurrences < 1:
+            raise ValueError(f"occurrences must be >= 1 and an integer, got {self.occurrences!r}")
         for s, e in self.timestamps:
+            if type(s) not in (int, float) or type(e) not in (int, float) or s - s != 0 or e - e != 0:  # nan, inf give nan
+                raise ValueError(f"span bounds must be finite numbers, got [{s!r}, {e!r}]")
             if e < s:
                 raise ValueError(f"invalid span [{s}, {e}]")
         if self.timestamps != sorted(self.timestamps):
@@ -213,6 +216,10 @@ class RepoEntry:
 
     chunk_index: int
     descriptions: list[RepoDescription]
+
+    def __post_init__(self) -> None:
+        if type(self.chunk_index) is not int:
+            raise ValueError(f"chunk_index must be an integer, got {self.chunk_index!r}")
 
 
 @dataclass

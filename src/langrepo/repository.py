@@ -19,6 +19,7 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  bench/tracing.py swaps this name
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -259,18 +260,39 @@ def read_from_repo(
 
 
 def to_canonical_json(repo: Repository) -> str:
-    """Canonical serialization: sorted keys, fixed layout, trailing newline.
+    """Canonical serialization: sorted keys, 2-space indent, non-ASCII
+    unescaped, trailing newline. Re-serializing a loaded repository
+    reproduces the bytes exactly.
 
-    Re-serializing a loaded repository reproduces the bytes exactly.
+    The result is byte for byte json.dumps(payload, sort_keys=True,
+    indent=2, ensure_ascii=False) + "\\n" of the payload load reads back.
+    json.dumps with an indent runs pure Python, so the scales are written
+    here at their fixed depths: text through json's C string escaper, and
+    numbers through repr, which for the exact ints and finite floats that
+    RepoDescription and RepoEntry admit is json's own form.
     """
-    # vars() of these dataclasses holds exactly their fields, as load reads them back.
-    scales = [
-        [{"chunk_index": entry.chunk_index, "descriptions": list(map(vars, entry.descriptions))} for entry in scale]
-        for scale in repo.scales
-    ]
-    payload = {"schema_version": SCHEMA_VERSION, "video_id": repo.video_id, "duration_s": float(repo.duration_s),
-               "config": vars(repo.config), "provenance": repo.provenance, "scales": scales}
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    def array(items: list[str], indent: int) -> str:  # json.dumps' layout, the array's own line indent spaces in
+        pad = "\n" + " " * indent
+        return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
+
+    def description(d: RepoDescription) -> str:
+        # array(spans, 12) written out, at the level most of the bytes are on
+        spans = ",\n              ".join([f"[\n                {s!r},\n                {e!r}\n              ]" for s, e in d.timestamps])
+        timestamps = f"[\n              {spans}\n            ]" if spans else "[]"
+        return (f'{{\n            "occurrences": {d.occurrences!r},\n            "text": {encode_basestring(d.text)},\n'
+                f'            "timestamps": {timestamps}\n          }}')
+
+    def entry(e: RepoEntry) -> str:
+        descriptions = array(list(map(description, e.descriptions)), 8)
+        return f'{{\n        "chunk_index": {e.chunk_index!r},\n        "descriptions": {descriptions}\n      }}'
+
+    head = {"schema_version": SCHEMA_VERSION, "video_id": repo.video_id, "duration_s": float(repo.duration_s),
+            "config": vars(repo.config), "provenance": repo.provenance}
+    # A JSON string holds no raw newline, so every newline json.dumps writes is layout, indented one level more here.
+    members = {key: json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+               for key, value in head.items()}
+    members["scales"] = array([array(list(map(entry, scale)), 4) for scale in repo.scales], 2)
+    return "{\n" + ",\n".join(f"  {encode_basestring(key)}: {members[key]}" for key in sorted(members)) + "\n}\n"
 
 
 def save(repo: Repository, path: str | Path) -> None:

@@ -4,6 +4,7 @@ Pure-Python loops only; deliberately kept free of the library's matching
 code so the two routes can disagree.
 """
 
+import json
 import math
 
 
@@ -40,3 +41,16 @@ def reference_match(sim_rows, src_ids, dst_ids, x):
         + [d for d in dst_ids if d not in groups]
     )
     return groups, pass_through
+
+
+def reference_canonical_json(repo):
+    """A saved repository's bytes as json.dumps writes them: the payload
+    to_canonical_json serialized with json.dumps, whose indented encoder is
+    pure Python."""
+    scales = [
+        [{"chunk_index": entry.chunk_index, "descriptions": list(map(vars, entry.descriptions))} for entry in scale]
+        for scale in repo.scales
+    ]
+    payload = {"schema_version": 1, "video_id": repo.video_id, "duration_s": float(repo.duration_s),
+               "config": vars(repo.config), "provenance": repo.provenance, "scales": scales}
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

@@ -1,5 +1,4 @@
 import random
-import sys
 import threading
 from dataclasses import asdict
 
@@ -246,12 +245,7 @@ class TestBuild:
     def test_each_description_is_embedded_once(self, max_parallel):
         captions = make_caption_set(600)
         embedder = CountingEmbedder()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # chunks of one scale share the vector memo
-        try:
-            repo = build(captions, BuildConfig(), embedder, LlmClient(MockBackend(), max_parallel=max_parallel))
-        finally:
-            sys.setswitchinterval(interval)
+        repo = build(captions, BuildConfig(), embedder, LlmClient(MockBackend(), max_parallel=max_parallel))
         # Every write groups, so every text some write took is embedded. The
         # mock rephraser echoes a group's first member, so rephrased
         # descriptions bring no new texts, only new timestamps and counts.
