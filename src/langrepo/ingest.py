@@ -25,6 +25,8 @@ from typing import get_args, get_origin, get_type_hints
 from .errors import EmptyInput, LangRepoError, MalformedFile, UnsupportedFactor
 
 RATE_FACTORS = (0.5, 1.0, 2.0)
+_BOUND_TYPES = frozenset((int, float))  # exactly, so no bool and no numpy scalar
+_INF = float("inf")
 
 
 def read_json_object(path: Path, error: type[LangRepoError]) -> dict:
@@ -196,10 +198,8 @@ class RepoDescription:
         if type(self.occurrences) is not int or self.occurrences < 1:
             raise ValueError(f"occurrences must be >= 1 and an integer, got {self.occurrences!r}")
         for s, e in self.timestamps:
-            if type(s) not in (int, float) or type(e) not in (int, float) or s - s != 0 or e - e != 0:  # nan, inf give nan
-                raise ValueError(f"span bounds must be finite numbers, got [{s!r}, {e!r}]")
-            if e < s:
-                raise ValueError(f"invalid span [{s}, {e}]")
+            if type(s) not in _BOUND_TYPES or type(e) not in _BOUND_TYPES or not -_INF < s <= e < _INF:  # nan fails too
+                raise ValueError(f"invalid span [{s!r}, {e!r}]: bounds must be finite numbers, the end not before the start")
         if self.timestamps != sorted(self.timestamps):
             raise ValueError("timestamps must be sorted by start")
 

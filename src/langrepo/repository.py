@@ -264,19 +264,21 @@ def to_canonical_json(repo: Repository) -> str:
     unescaped, trailing newline. Re-serializing a loaded repository
     reproduces the bytes exactly.
 
-    The result is byte for byte json.dumps(payload, sort_keys=True,
-    indent=2, ensure_ascii=False) + "\\n" of the payload load reads back.
-    json.dumps with an indent runs pure Python, so the scales are written
-    here at their fixed depths: text through json's C string escaper, and
-    numbers through repr, which for the exact ints and finite floats that
-    RepoDescription and RepoEntry admit is json's own form.
+    The result equals, byte for byte, json.dumps(payload, sort_keys=True,
+    indent=2, ensure_ascii=False) + "\\n", where payload holds
+    schema_version, video_id, duration_s as a float, and config,
+    provenance and scales with each dataclass as the object of its fields.
+    With an indent json.dumps encodes in pure Python, so the scales are
+    written here at their fixed depths: text through json's C string
+    escaper, numbers through repr, which for the exact ints and finite
+    floats that RepoDescription and RepoEntry admit is json's own form.
     """
-    def array(items: list[str], indent: int) -> str:  # json.dumps' layout, the array's own line indent spaces in
+    def array(items: list[str], indent: int) -> str:  # encoded items; the array's own line is indent spaces in
         pad = "\n" + " " * indent
         return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
 
     def description(d: RepoDescription) -> str:
-        # array(spans, 12) written out, at the level most of the bytes are on
+        # array(spans, 12) written out: most of the bytes are at this level
         spans = ",\n              ".join([f"[\n                {s!r},\n                {e!r}\n              ]" for s, e in d.timestamps])
         timestamps = f"[\n              {spans}\n            ]" if spans else "[]"
         return (f'{{\n            "occurrences": {d.occurrences!r},\n            "text": {encode_basestring(d.text)},\n'
