@@ -33,8 +33,8 @@ big_ints = st.one_of(st.integers(1, 2**80), st.sampled_from([1, 2**31, 2**63 + 1
 
 @st.composite
 def descriptions(draw):
-    ends = sorted(draw(st.lists(bounds, max_size=6)))
-    spans = [list(pair) for pair in zip(ends[0::2], ends[1::2])]
+    points = sorted(draw(st.lists(bounds, max_size=6)))
+    spans = [list(pair) for pair in zip(points[0::2], points[1::2])]
     return RepoDescription(draw(texts), spans, draw(big_ints))
 
 
