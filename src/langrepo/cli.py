@@ -3,7 +3,7 @@
 Commands: build a repository from a caption file, answer one question
 against a saved repository, evaluate a QA dataset (at a chosen caption
 rate, for the input-length study), and inspect a repository's entries.
-Exit codes: 0 success, 2 usage or configuration error, 1 runtime failure.
+Exit codes: 0 success, 2 a UsageError, 1 any other LangRepoError.
 """
 
 from __future__ import annotations
@@ -17,29 +17,11 @@ from pathlib import Path
 
 from . import evalharness, repository
 from .config import load_app_config, make_providers
-from .errors import (
-    ConfigError,
-    EmptyInput,
-    LangRepoError,
-    MalformedFile,
-    MissingCaptions,
-    OptionCountError,
-    VersionMismatch,
-)
+from .errors import ConfigError, LangRepoError, UsageError
 from .ingest import RATE_FACTORS, load_captions, transform_rate
 from .repository import load as load_repo
 from .repository import render_description_line, save as save_repo
 from .vqa import QaItem
-
-USAGE_ERRORS = (
-    ConfigError,
-    MalformedFile,
-    EmptyInput,
-    OptionCountError,
-    MissingCaptions,
-    VersionMismatch,
-)
-
 
 def cmd_build(args) -> int:
     cfg = load_app_config(args.config)
@@ -179,12 +161,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LangRepoError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

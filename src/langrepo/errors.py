@@ -5,7 +5,11 @@ class LangRepoError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(LangRepoError):
+class UsageError(LangRepoError):
+    """Bad arguments, input or configuration; the CLI exits 2."""
+
+
+class ConfigError(UsageError):
     """Invalid configuration (bad schedule, ratio out of range, unknown kind)."""
 
 
@@ -22,15 +26,15 @@ def require_timing(section: str, timeout_s: float, backoff_s: float) -> None:
     require_min(f"{section}.backoff_s", backoff_s, 0)
 
 
-class MalformedFile(LangRepoError):
+class MalformedFile(UsageError):
     """Input file does not match the expected schema or cannot be parsed."""
 
 
-class EmptyInput(LangRepoError):
+class EmptyInput(UsageError):
     """A file parsed fine but contains no usable records."""
 
 
-class VersionMismatch(LangRepoError):
+class VersionMismatch(UsageError):
     """Serialized repository carries an unsupported schema version."""
 
 
@@ -75,9 +79,9 @@ class FormatError(LangRepoError):
     list for a rephrase, a standalone letter for a generative answer."""
 
 
-class OptionCountError(LangRepoError):
+class OptionCountError(UsageError):
     """Question has an option count the chosen classifier cannot handle."""
 
 
-class MissingCaptions(LangRepoError):
+class MissingCaptions(UsageError):
     """Evaluation item references a video with no caption set."""

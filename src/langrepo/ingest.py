@@ -26,7 +26,7 @@ from .errors import EmptyInput, LangRepoError, MalformedFile, UnsupportedFactor
 
 RATE_FACTORS = (0.5, 1.0, 2.0)
 _BOUND_TYPES = frozenset((int, float))  # exactly, so no bool and no numpy scalar
-_INF = float("inf")
+_MAX = sys.float_info.max  # the finite floats are [-_MAX, _MAX], and an int in it widens to one
 
 
 def read_json_object(path: Path, error: type[LangRepoError]) -> dict:
@@ -80,7 +80,7 @@ def _converter(tp, reject_unknown: bool):
         def convert(value):
             if type(value) is tp and (tp is not float or value - value == 0.0):  # nan and +-inf give nan
                 return value
-            if tp is float and type(value) is int and abs(value) <= sys.float_info.max:
+            if tp is float and type(value) is int and abs(value) <= _MAX:
                 return float(value)
             raise _wrong(_KINDS[tp], value)
     elif origin is UnionType and len(args) == 2 and args[1] is type(None):
@@ -197,11 +197,14 @@ class RepoDescription:
             raise ValueError(f"description text must be non-empty and a string, got {self.text!r}")
         if type(self.occurrences) is not int or self.occurrences < 1:
             raise ValueError(f"occurrences must be >= 1 and an integer, got {self.occurrences!r}")
+        spans = []
         for s, e in self.timestamps:
-            if type(s) not in _BOUND_TYPES or type(e) not in _BOUND_TYPES or not -_INF < s <= e < _INF:  # nan fails too
+            if type(s) not in _BOUND_TYPES or type(e) not in _BOUND_TYPES or not -_MAX <= s <= e <= _MAX:  # nan fails too
                 raise ValueError(f"invalid span [{s!r}, {e!r}]: bounds must be finite numbers, the end not before the start")
-        if self.timestamps != sorted(self.timestamps):
+            spans.append([float(s), float(e)])  # an int is widened, as load reads it back
+        if spans != sorted(spans):
             raise ValueError("timestamps must be sorted by start")
+        self.timestamps = spans
 
     @property
     def earliest_s(self) -> float:
@@ -275,7 +278,7 @@ def chunk_captions(captions: CaptionSet, n: int) -> list[RepoEntry]:
     evenly the earliest chunks take the extra caption. Fewer than n chunks
     come back when the video has fewer than n captions.
     """
-    return chunk_items([RepoDescription(c.text, [[float(c.start_s), float(c.end_s)]]) for c in captions.captions], n)
+    return chunk_items([RepoDescription(c.text, [[c.start_s, c.end_s]]) for c in captions.captions], n)
 
 
 def transform_rate(captions: CaptionSet, factor: float) -> CaptionSet:

@@ -140,13 +140,15 @@ class ResponseCache:
             row = self._db.execute("SELECT value FROM replies WHERE key = ?", (key,)).fetchone()
         return None if row is None else json.loads(row[0])
 
-    def put(self, key: str, value: dict) -> None:
+    def put(self, key: str, value: dict) -> dict:
+        """Store value unless key has one; the stored value, so the first writer wins across processes."""
         with self._lock:
             if self._db is None:
-                self._mem[key] = value
-            else:
-                blob = json.dumps(value, ensure_ascii=False)
-                self._db.execute("INSERT OR REPLACE INTO replies VALUES (?, ?)", (key, blob))
+                return self._mem.setdefault(key, value)
+            blob = json.dumps(value, ensure_ascii=False)
+            self._db.execute("INSERT INTO replies VALUES (?, ?) ON CONFLICT (key) DO NOTHING", (key, blob))
+            row = self._db.execute("SELECT value FROM replies WHERE key = ?", (key,)).fetchone()
+        return json.loads(row[0])
 
 
 class MockBackend:
@@ -493,7 +495,7 @@ class LlmClient:
                     return value
                 with self._scheduler.backend_slot():
                     value = call()
-                self.cache.put(key, value)
+                value = self.cache.put(key, value)
                 self.ledger.record(purpose)
                 return value
             finally:

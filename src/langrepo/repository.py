@@ -27,7 +27,7 @@ import numpy as np
 from . import grouping
 from .embed import Embedder, similarity_matrix
 from .errors import ConfigError, MalformedFile, VersionMismatch, require_min
-from .ingest import CaptionSet, RepoDescription, RepoEntry, chunk_captions, chunk_items, decode, read_json_object
+from .ingest import _BOUND_TYPES, _MAX, CaptionSet, RepoDescription, RepoEntry, chunk_captions, chunk_items, decode, read_json_object
 from .llm import GenerationRequest, LlmClient
 from .prompts import (
     GROUP_MEMBER_SEPARATOR,
@@ -90,11 +90,21 @@ class Repository:
     config: BuildConfig
     provenance: dict[str, str]
 
+    def __post_init__(self) -> None:
+        # The rules load applies, as in RepoDescription, so that whatever save writes loads.
+        if type(self.video_id) is not str:
+            raise ValueError(f"video_id must be a string, got {self.video_id!r}")
+        if type(self.duration_s) not in _BOUND_TYPES or not -_MAX <= self.duration_s <= _MAX:  # nan fails too
+            raise ValueError(f"duration_s must be a finite number, got {self.duration_s!r}")
+        self.duration_s = float(self.duration_s)
+        if type(self.provenance) is not dict or not all(type(k) is str and type(v) is str for k, v in self.provenance.items()):
+            raise ValueError(f"provenance must map strings to strings, got {self.provenance!r}")
+
 
 def merge_spans(spans: list[list[float]]) -> list[list[float]]:
     """Sorted union of time spans; overlapping or touching spans coalesce."""
     merged: list[list[float]] = []
-    for s, e in sorted([float(a), float(b)] for a, b in spans):
+    for s, e in sorted(spans):
         if merged and s <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], e)
         else:
@@ -266,8 +276,8 @@ def to_canonical_json(repo: Repository) -> str:
 
     The result equals, byte for byte, json.dumps(payload, sort_keys=True,
     indent=2, ensure_ascii=False) + "\\n", where payload holds
-    schema_version, video_id, duration_s as a float, and config,
-    provenance and scales with each dataclass as the object of its fields.
+    schema_version and every field of the repository, with each dataclass
+    as the object of its fields.
     With an indent json.dumps encodes in pure Python, so the scales are
     written here at their fixed depths: text through json's C string
     escaper, numbers through repr, which for the exact ints and finite
@@ -288,7 +298,7 @@ def to_canonical_json(repo: Repository) -> str:
         descriptions = array(list(map(description, e.descriptions)), 8)
         return f'{{\n        "chunk_index": {e.chunk_index!r},\n        "descriptions": {descriptions}\n      }}'
 
-    head = {"schema_version": SCHEMA_VERSION, "video_id": repo.video_id, "duration_s": float(repo.duration_s),
+    head = {"schema_version": SCHEMA_VERSION, "video_id": repo.video_id, "duration_s": repo.duration_s,
             "config": vars(repo.config), "provenance": repo.provenance}
     # A JSON string holds no raw newline, so every newline json.dumps writes is layout, indented one level more here.
     members = {key: json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", "\n  ")

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from langrepo import evalharness, repository
+from langrepo import cli, errors, evalharness, repository
 from langrepo.cli import main
 from langrepo.config import load_app_config, make_providers
 from langrepo.errors import BackendUnavailable
@@ -365,3 +365,23 @@ class TestInspectCommand:
         text = repo_path.read_text().replace('"schema_version": 1', '"schema_version": 99')
         repo_path.write_text(text)
         assert main(["inspect", "--repo", str(repo_path)]) == 2
+
+
+# The CLI's exit status by error class name, so that this pins the behaviour
+# whatever the class hierarchy says.
+EXITS_2 = {"UsageError", "ConfigError", "MalformedFile", "EmptyInput", "VersionMismatch", "OptionCountError",
+           "MissingCaptions"}
+ERROR_CLASSES = sorted(
+    (value for value in vars(errors).values() if isinstance(value, type) and issubclass(value, errors.LangRepoError)),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_status_by_error_class(error, capsys, monkeypatch):
+    def fail(args):
+        raise error(f"raised {error.__name__}")
+
+    monkeypatch.setattr(cli, "cmd_inspect", fail)
+    assert main(["inspect", "--repo", "unused.json"]) == (2 if error.__name__ in EXITS_2 else 1)
+    assert capsys.readouterr().err == f"error: raised {error.__name__}\n"

@@ -1,6 +1,7 @@
 import contextvars
 import json
 import multiprocessing
+import os
 import re
 import sys
 import threading
@@ -41,6 +42,24 @@ def _fill_cache(directory, indices, start):
     start.wait(timeout=30)
     for i in indices:
         client.generate(req(f"prompt {i}"))
+
+
+class PidBackend(MockBackend):
+    """Replies after 0.2 s naming its process, so that two processes' replies differ."""
+
+    def complete(self, req):
+        time.sleep(0.2)
+        return f"reply of process {os.getpid()}"
+
+
+def _ask_once(directory, start, replies):
+    try:
+        client = LlmClient(PidBackend(), cache_dir=directory)
+    except BaseException:
+        start.abort()  # the other process must not wait for this one
+        raise
+    start.wait(timeout=30)
+    replies.put(client.generate(req("shared")))
 
 
 def req(prompt, **kw):
@@ -178,6 +197,37 @@ class TestCacheAndLedger:
             assert client.generate(req(f"prompt {i}")) == "A"
         assert client.ledger.total_calls() == 0
         assert client.ledger.snapshot()["cache_hits"] == 90
+
+    @pytest.mark.parametrize("cache_dir", [False, True])
+    def test_first_writer_wins(self, tmp_path, cache_dir):
+        cache = ResponseCache(tmp_path if cache_dir else None)
+        assert cache.put("k", {"text": "first"}) == {"text": "first"}
+        assert cache.put("k", {"text": "second"}) == {"text": "first"}
+        assert cache.get("k") == {"text": "first"}
+
+    def test_processes_asking_for_one_key_agree_on_the_stored_reply(self, tmp_path):
+        # Both processes miss the key and call the backend at once; the
+        # first reply stored is the one each of them returns.
+        ctx = multiprocessing.get_context("spawn")
+        start, replies = ctx.Barrier(2), ctx.Queue()
+        workers = [ctx.Process(target=_ask_once, args=(str(tmp_path), start, replies)) for _ in range(2)]
+        try:
+            for worker in workers:
+                worker.start()
+            got = [replies.get(timeout=120) for _ in workers]
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            for worker in workers:
+                if worker.is_alive():
+                    worker.terminate()
+                    worker.join()
+        assert [worker.exitcode for worker in workers] == [0, 0]
+        client = LlmClient(MockBackend(), cache_dir=tmp_path)
+        stored = client.generate(req("shared"))
+        assert client.ledger.total_calls() == 0
+        assert stored.startswith("reply of process ")
+        assert got == [stored, stored]
 
     def test_cache_file_that_is_not_a_database(self, tmp_path):
         (tmp_path / CACHE_FILE).write_text("not a database\n" * 100, encoding="utf-8")
@@ -497,7 +547,7 @@ class RecordingCache(ResponseCache):
 
     def put(self, key, value):
         self.keys.append(key)
-        super().put(key, value)
+        return super().put(key, value)
 
 
 class CountingCache(ResponseCache):

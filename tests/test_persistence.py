@@ -6,7 +6,9 @@ on a 600-caption repository; the plain suite runs them briefly, asserting
 nothing about time.
 """
 
+import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,56 @@ def test_escape_heavy_save_load_save_is_byte_stable(tmp_path):
     assert loaded == repo
     save(loaded, path)
     assert path.read_bytes() == first
+
+
+@pytest.fixture(scope="module")
+def round_trip_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip") / "repo.json"
+
+
+# UTF-8 cannot encode a lone surrogate, so save refuses text holding one.
+SURROGATE = re.compile("[\ud800-\udfff]")
+savable_repositories = st.builds(dataclasses.replace, repositories, duration_s=bounds).filter(
+    lambda repo: not SURROGATE.search(to_canonical_json(repo))
+)
+
+
+@settings(deadline=None)
+@given(repo=savable_repositories)
+def test_save_load_save_round_trips(repo, round_trip_path):
+    # Integer and float bounds, any finite duration, full-Unicode provenance.
+    save(repo, round_trip_path)
+    first = round_trip_path.read_bytes()
+    loaded = load(round_trip_path)
+    assert loaded == repo
+    save(loaded, round_trip_path)
+    assert round_trip_path.read_bytes() == first
+
+
+def test_integer_bounds_and_duration_are_stored_as_floats():
+    repo = Repository("v", 3, [[RepoEntry(0, [RepoDescription("x", [[1, 2]])])]], BuildConfig(), {})
+    assert type(repo.duration_s) is float
+    assert [type(b) for b in repo.scales[0][0].descriptions[0].timestamps[0]] == [float, float]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("duration_s", math.nan, "duration_s must be a finite number, got nan"),
+        ("duration_s", math.inf, "duration_s must be a finite number, got inf"),
+        ("duration_s", -math.inf, "duration_s must be a finite number, got -inf"),
+        ("duration_s", True, "duration_s must be a finite number, got True"),
+        ("duration_s", 10**400, "duration_s must be a finite number, got 1000"),
+        ("video_id", 5, "video_id must be a string, got 5"),
+        ("provenance", {5: "x"}, "provenance must map strings to strings, got {5: 'x'}"),
+        ("provenance", {"captioner": 5}, "provenance must map strings to strings, got {'captioner': 5}"),
+    ],
+    ids=["nan", "inf", "-inf", "true", "huge-int", "int-video-id", "int-key", "int-value"],
+)
+def test_repository_rejects_what_load_refuses(field, value, message):
+    fields = {"video_id": "v", "duration_s": 1.0, "scales": [], "config": BuildConfig(), "provenance": {}}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Repository(**{**fields, field: value})
 
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
