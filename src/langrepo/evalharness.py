@@ -1,7 +1,9 @@
 """Dataset loading and pipeline evaluation.
 
 Three modes, each run as: build a repository per video, read it (once per
-video, or per question when reads are conditioned on it), classify.
+video, or per question when reads are conditioned on it), classify. A
+video's questions are answered as soon as that video is ready, ahead of
+later videos' work.
 
 * ``langrepo``: the repository the build config describes.
 * ``llovi-whole`` / ``llovi-chunked``: the LLoVi baselines, as unpruned
@@ -163,7 +165,10 @@ def evaluate(
     loglik_format: str = "plain",
 ) -> EvalReport:
     """Run the chosen mode over all items and score against ground truth;
-    predictions come back aligned with the input items."""
+    predictions come back aligned with the input items. Each video is
+    prepared once, and its questions are answered as soon as it is ready,
+    ahead of later videos' builds and reads. If a video fails, the others
+    still run to the end; then the first error by video position is raised."""
     cfg = mode_config(cfg, mode)
     check_classifier(items, classifier, loglik_format)
     missing = sorted({it.video_id for it in items if it.video_id not in captions_by_video})
@@ -173,18 +178,28 @@ def evaluate(
     client = providers.client
     before = client.ledger.snapshot()
 
-    # Every video is prepared once, before any of its questions: its
-    # questions then wait on nothing but their own reads and scores.
-    videos = list(dict.fromkeys(item.video_id for item in items))
-    ready = client.map(lambda vid: prepare_video(captions_by_video[vid], cfg, providers), videos)
-    prepared = dict(zip(videos, ready))
+    # One task per video prepares it, then maps its own questions: their keys
+    # sit under the video's, so they run ahead of later videos' builds and reads.
+    positions: dict[str, list[int]] = {}
+    for i, item in enumerate(items):
+        positions.setdefault(item.video_id, []).append(i)
 
-    def predict(item: QaItem) -> Prediction:
-        descriptions = descriptions_for(item, prepared[item.video_id], cfg, client)
-        duration_s = captions_by_video[item.video_id].duration_s
-        return answer(item, descriptions, duration_s, classifier, loglik_format, client)
+    def run_video(vid: str) -> list[Prediction]:
+        captions = captions_by_video[vid]
+        prepared = prepare_video(captions, cfg, providers)
 
-    predictions = client.map(predict, items)
+        def predict(i: int) -> Prediction:
+            descriptions = descriptions_for(items[i], prepared, cfg, client)
+            return answer(items[i], descriptions, captions.duration_s, classifier, loglik_format, client)
+
+        answered = client.map(predict, positions[vid])
+        logger.info("video %s: %d question(s) answered", vid, len(answered))
+        return answered
+
+    predictions: list = [None] * len(items)
+    for at, answered in zip(positions.values(), client.map(run_video, list(positions))):
+        for i, prediction in zip(at, answered):
+            predictions[i] = prediction
 
     correct = 0
     n_scored = 0

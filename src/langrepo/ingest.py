@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -27,6 +28,12 @@ from .errors import EmptyInput, LangRepoError, MalformedFile, UnsupportedFactor
 RATE_FACTORS = (0.5, 1.0, 2.0)
 _BOUND_TYPES = frozenset((int, float))  # exactly, so no bool and no numpy scalar
 _MAX = sys.float_info.max  # the finite floats are [-_MAX, _MAX], and an int in it widens to one
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def utf8_encodable(text: str) -> bool:
+    """Whether UTF-8 can encode text: it holds no surrogate code point."""
+    return text.isascii() or not _SURROGATE.search(text)
 
 
 def read_json_object(path: Path, error: type[LangRepoError]) -> dict:
@@ -45,12 +52,13 @@ def read_json_object(path: Path, error: type[LangRepoError]) -> dict:
 
 def decode(cls, raw, where: str, error: type[LangRepoError], *, reject_unknown: bool):
     """Build cls from the parsed JSON value raw, checking each value against
-    its annotation: str, bool and int exactly (a bool is no int), float as a
-    finite number (an int is widened), and list[X], dict[str, X], X | None
-    and dataclasses nested. An absent key takes the field's default; an
-    unknown key is an error if reject_unknown, else ignored. A wrong value,
-    or a ValueError or LangRepoError a constructor raises, becomes error,
-    whose message starts with where and names the field."""
+    its annotation: str, bool and int exactly (a bool is no int; a str UTF-8
+    can encode), float as a finite number (an int is widened), and list[X],
+    dict[str, X], X | None and dataclasses nested. An absent key takes the
+    field's default; an unknown key is an error if reject_unknown, else
+    ignored. A wrong value, or a ValueError or LangRepoError a constructor
+    raises, becomes error, whose message starts with where and names the
+    field."""
     try:
         return _converter(cls, reject_unknown)(raw)
     except _Misfit as exc:
@@ -79,10 +87,11 @@ def _converter(tp, reject_unknown: bool):
     if tp in _KINDS:
         def convert(value):
             if type(value) is tp and (tp is not float or value - value == 0.0):  # nan and +-inf give nan
-                return value
+                if tp is not str or utf8_encodable(value):  # a lone surrogate can be neither saved nor sent
+                    return value
             if tp is float and type(value) is int and abs(value) <= _MAX:
                 return float(value)
-            raise _wrong(_KINDS[tp], value)
+            raise _wrong("a string UTF-8 can encode" if tp is str and type(value) is str else _KINDS[tp], value)
     elif origin is UnionType and len(args) == 2 and args[1] is type(None):
         inner = _converter(args[0], reject_unknown)
         return lambda value: None if value is None else inner(value)
@@ -195,6 +204,8 @@ class RepoDescription:
         # Exactly the values load reads back, so that whatever save writes loads.
         if type(self.text) is not str or not self.text:
             raise ValueError(f"description text must be non-empty and a string, got {self.text!r}")
+        if not utf8_encodable(self.text):
+            raise ValueError(f"description text must be UTF-8 encodable, got {self.text!r}")
         if type(self.occurrences) is not int or self.occurrences < 1:
             raise ValueError(f"occurrences must be >= 1 and an integer, got {self.occurrences!r}")
         spans = []

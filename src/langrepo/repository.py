@@ -28,6 +28,7 @@ from . import grouping
 from .embed import Embedder, similarity_matrix
 from .errors import ConfigError, MalformedFile, VersionMismatch, require_min
 from .ingest import _BOUND_TYPES, _MAX, CaptionSet, RepoDescription, RepoEntry, chunk_captions, chunk_items, decode, read_json_object
+from .ingest import utf8_encodable
 from .llm import GenerationRequest, LlmClient
 from .prompts import (
     GROUP_MEMBER_SEPARATOR,
@@ -99,6 +100,8 @@ class Repository:
         self.duration_s = float(self.duration_s)
         if type(self.provenance) is not dict or not all(type(k) is str and type(v) is str for k, v in self.provenance.items()):
             raise ValueError(f"provenance must map strings to strings, got {self.provenance!r}")
+        if not all(map(utf8_encodable, [self.video_id, *self.provenance, *self.provenance.values()])):
+            raise ValueError(f"video_id and provenance must be UTF-8 encodable, got {self.video_id!r}, {self.provenance!r}")
 
 
 def merge_spans(spans: list[list[float]]) -> list[list[float]]:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import FormatError, OptionCountError
+from .errors import FormatError, OptionCountError, UsageError
+from .ingest import utf8_encodable
 from .llm import GenerationRequest, LlmClient, ScoreRequest
 from .prompts import QaPromptInput, render_qa_generative, render_qa_loglik
 
@@ -38,6 +39,8 @@ class QaItem:
             raise OptionCountError(f"item {self.question_id!r}: answer options must be distinct")
         if self.answer_index is not None and not 0 <= self.answer_index < len(self.options):
             raise ValueError(f"item {self.question_id!r}: answer_index out of range")
+        if not all(map(utf8_encodable, [self.question, *self.options])):  # argv holds undecodable bytes as lone surrogates
+            raise UsageError(f"item {self.question_id!r}: question and options must be UTF-8 encodable")
 
     @property
     def generative_compatible(self) -> bool:

@@ -143,6 +143,18 @@ class TestAnswerCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("question, options", [("what \udcff", ["a", "b"]), ("q", ["a", "b\udcff"])],
+                             ids=["question", "option"])
+    def test_argument_with_undecodable_bytes_exits_2(self, tmp_path, config_path, captions_path, capsys,
+                                                      question, options):
+        # Python reads argv bytes that are not UTF-8 as lone surrogates, which no prompt can carry.
+        repo_path = build_repo(tmp_path, config_path, captions_path)
+        capsys.readouterr()
+        argv = ["answer", "--repo", str(repo_path), "--config", str(config_path), "--question", question,
+                "--options", *options]
+        assert main(argv) == 2
+        assert "question and options must be UTF-8 encodable" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def write_dataset(self, tmp_path, n=2):

@@ -195,6 +195,15 @@ def test_caption_entries_and_qa_items_with_extra_keys_load(tmp_path):
     assert [item.question_id for item in load_qa_dataset(path)] == ["q0"]
 
 
+def test_caption_text_utf8_cannot_encode_is_refused_at_load(tmp_path):
+    captions = copy.deepcopy(CAPTIONS)
+    captions["captions"][0]["text"] = "C opens \ud800"
+    path = tmp_path / "vid.json"
+    path.write_text(json.dumps(captions))
+    with pytest.raises(MalformedFile, match=r"vid\.json: captions\[0\]\.text must be a string UTF-8 can encode"):
+        load_captions(path)
+
+
 def test_saved_repository_rejects_unknown_keys(tmp_path):
     document = saved_repository()
     document["checksum"] = 1
@@ -265,6 +274,14 @@ PROBES = [
     ("config", lambda d: d["build"].update(grouping_ratio=True), "build.grouping_ratio"),
     ("config", lambda d: d.update(cache_dir=5), "cache_dir"),
     ("config", lambda d: d["llm"].update(endpoint=5), "llm.endpoint"),
+    # A lone surrogate: valid JSON that UTF-8 cannot encode, so no file or prompt could hold it.
+    ("captions", lambda d: d["captions"][1].update(text="C opens \ud800"), "captions[1].text"),
+    ("qa", lambda d: d["items"][0]["options"].__setitem__(2, "bo\udc00x"), "items[0].options[2]"),
+    ("repository", lambda d: d["scales"][0][0]["descriptions"][0].update(text="\udfff"),
+     "scales[0][0].descriptions[0].text"),
+    ("repository", lambda d: d.update(video_id="vid\ud83d"), "video_id"),
+    ("repository", lambda d: d["provenance"].update(captioner="\ud800"), 'provenance["captioner"]'),
+    ("config", lambda d: d["llm"].update(model="m\ud800"), "llm.model"),
 ]
 
 

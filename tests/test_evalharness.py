@@ -1,5 +1,7 @@
 import json
+import logging
 import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -348,8 +350,66 @@ class TestPreparePerVideo:
         worker.join(timeout=30)
         assert not worker.is_alive(), "evaluate hung after a failed build"
         assert len(raised) == 1
-        # "bad" sorts first; the other two videos were still built and read
+        # the other two videos were still built, read and asked their questions
         assert prov.client.ledger.snapshot()["summarize"] == 2 * self.entries
+        assert prov.client.ledger.snapshot()["qa"] == 8  # 2 videos x 2 questions x 2 options
+
+    @pytest.mark.parametrize("max_parallel", [1, 4])
+    def test_predictions_follow_the_input_order_across_interleaved_videos(self, max_parallel):
+        captions = {vid: make_caption_set(n, vid) for vid, n in [("vid", 12), ("other", 15), ("third", 9)]}
+        by_video = [self.questions(3, vid) for vid in ("other", "vid", "third")]
+        items = [item for turn in zip(*by_video) for item in turn]  # other, vid, third, other, ...
+        report = evaluate(items, captions, self.cfg, "langrepo", self.counting(max_parallel))
+        assert [p.question_id for p in report.predictions] == [item.question_id for item in items]
+
+    def test_a_ready_video_is_answered_while_a_later_video_still_builds(self):
+        # Every backend call of the second video waits for the release; the
+        # first video's questions must reach the backend before it.
+        release = threading.Event()
+        scored = []
+
+        class HoldMarked(MockBackend):
+            def complete(self, req):
+                if "held" in req.prompt:
+                    release.wait(30)
+                return super().complete(req)
+
+            def score(self, prefix, continuation):
+                if "held" in prefix:
+                    release.wait(30)
+                scored.append(prefix)
+                return super().score(prefix, continuation)
+
+        captions = {"vid": make_caption_set(12), "later": marked_caption_set(12, "later", "held")}
+        items = self.questions(3) + self.questions(3, "later")
+        prov = Providers(
+            client=LlmClient(HoldMarked(), max_parallel=4),
+            embedder=Embedder(EmbeddingProviderConfig(kind="hashed", dimension=16)),
+        )
+        reports = []
+        worker = threading.Thread(target=lambda: reports.append(evaluate(items, captions, self.cfg, "langrepo", prov)),
+                                  daemon=True)
+        worker.start()
+        try:
+            deadline = time.monotonic() + 10
+            while len(scored) < 6 and time.monotonic() < deadline:  # 3 questions x 2 options
+                time.sleep(0.01)
+            before_release = list(scored)
+        finally:
+            release.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive(), "evaluate hung"
+        assert len(before_release) == 6
+        assert not any("held" in prefix for prefix in before_release)
+        assert [p.question_id for p in reports[0].predictions] == [item.question_id for item in items]
+
+    def test_each_video_logs_when_its_questions_are_answered(self, caplog):
+        captions = {"vid": make_caption_set(12), "other": make_caption_set(15, "other")}
+        items = self.questions(2, "other") + self.questions(3)
+        with caplog.at_level(logging.INFO, logger="langrepo.evalharness"):
+            evaluate(items, captions, self.cfg, "langrepo", self.counting())
+        lines = [r.getMessage() for r in caplog.records if r.name == "langrepo.evalharness"]
+        assert sorted(lines) == ["video other: 2 question(s) answered", "video vid: 3 question(s) answered"]
 
 
 class TestModeComparison:

@@ -449,6 +449,11 @@ class TestHttpBackend:
             backend.complete(req("hi"))
         assert len(backend.session.calls) == 3
 
+    def test_reply_text_utf8_cannot_encode_is_refused(self):
+        backend = http_backend([text_ok("ok \ud800")])
+        with pytest.raises(BackendUnavailable, match=r"reply: choices\[0\]\.text must be a string UTF-8 can encode"):
+            backend.complete(req("hi"))
+
     def test_context_overflow(self):
         backend = http_backend(
             [_FakeResponse(400, text="this model's maximum context length is 8192 tokens")]
