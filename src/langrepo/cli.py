@@ -23,7 +23,16 @@ from .repository import load as load_repo
 from .repository import render_description_line, save as save_repo
 from .vqa import QaItem
 
+
+def check_outputs(*flags_and_paths: tuple[str, str]) -> None:
+    """UsageError naming the flag unless each output's parent is an existing directory and it is not one."""
+    for flag, path in flags_and_paths:
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise UsageError(f"{flag} {path}: an output must name a file in an existing directory")
+
+
 def cmd_build(args) -> int:
+    check_outputs(("--out", args.out))
     cfg = load_app_config(args.config)
     captions = load_captions(args.captions)
     providers = make_providers(cfg)
@@ -66,6 +75,7 @@ def cmd_answer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_outputs(("--report-out", args.report_out), ("--predictions-out", args.predictions_out))
     cfg = load_app_config(args.config)
     items = evalharness.load_qa_dataset(args.dataset)
     captions_by_video = {

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, TypeVar
 
 from .errors import (
-    BackendUnavailable, ContextOverflow, CountMismatch, FormatError, MalformedFile, ScoringUnsupported,
+    BackendUnavailable, ConfigError, ContextOverflow, CountMismatch, FormatError, MalformedFile, ScoringUnsupported,
 )
 from .ingest import decode
 from .prompts import GROUP_MEMBER_SEPARATOR, ITEM_LINE
@@ -116,15 +116,17 @@ class ResponseCache:
         if self.directory:
             import sqlite3
 
-            self.directory.mkdir(parents=True, exist_ok=True)
             path = self.directory / CACHE_FILE
-            # Autocommit; WAL lets readers work beside one writer, and the
-            # busy timeout makes writers of other processes wait their turn.
             try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                # Autocommit; WAL lets readers work beside one writer, and the
+                # busy timeout makes writers of other processes wait their turn.
                 self._db = sqlite3.connect(path, timeout=30.0, isolation_level=None, check_same_thread=False)
                 self._db.execute("PRAGMA journal_mode=WAL")
                 self._db.execute("PRAGMA synchronous=NORMAL")
                 self._db.execute("CREATE TABLE IF NOT EXISTS replies (key TEXT PRIMARY KEY, value TEXT)")
+            except OSError as exc:
+                raise ConfigError(f"cache_dir {self.directory}: cannot create the directory: {exc}") from exc
             except sqlite3.DatabaseError as exc:
                 raise MalformedFile(f"{path}: cannot open response cache: {exc}") from exc
 

@@ -4,13 +4,13 @@ Every template is a constant here. Saved repositories record the version
 tag of the rephrase and summarize texts, so change the tag with the text.
 The multiple-choice QA formats are a generative prompt that asks for a
 single letter, and two log-likelihood formats that differ in how much
-structure surrounds the scored answer option.
+structure surrounds the scored answer option. The QA renderers take the
+read's descriptions, laid out one per line, the question and the options.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from string import Template
 
 from .errors import CountMismatch, FormatError, OptionCountError
@@ -54,16 +54,6 @@ _STRUCTURED_QUESTION = Template(
 _STRUCTURED_LEAD_IN = " The correct answer is, "
 
 ITEM_LINE = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
-
-
-@dataclass(frozen=True)
-class QaPromptInput:
-    """Everything a multiple-choice QA prompt needs."""
-
-    description: str
-    question: str
-    options: tuple[str, ...]
-    duration_s: float = 0.0
 
 
 def template_version() -> str:
@@ -133,41 +123,38 @@ def _format_duration(duration_s: float) -> str:
     return f"{duration_s:g}"
 
 
-def _choices(options: tuple[str, ...]) -> str:
+def _choices(options: list[str]) -> str:
     """One " <letter>: <option>" line per option."""
     return "".join(f" {option_letter(i)}: {text}\n" for i, text in enumerate(options))
 
 
-def render_qa_generative(qa: QaPromptInput) -> str:
+def render_qa_generative(descriptions: list[str], question: str, options: list[str], duration_s: float) -> str:
     """Single-letter-answer prompt; fixed to exactly five options."""
-    if len(qa.options) != 5:
-        raise OptionCountError(f"generative classifier needs 5 options, got {len(qa.options)}")
+    if len(options) != 5:
+        raise OptionCountError(f"generative classifier needs 5 options, got {len(options)}")
     return GENERATIVE_QA_TEMPLATE.substitute(
-        duration=_format_duration(qa.duration_s),
-        description=qa.description,
-        question=qa.question,
-        choices=_choices(qa.options),
+        duration=_format_duration(duration_s),
+        description="\n".join(descriptions),
+        question=question,
+        choices=_choices(options),
     )
 
 
-def render_qa_loglik(qa: QaPromptInput, option_index: int, format: str) -> tuple[str, str]:
-    """Return (prefix, continuation) for scoring one answer option.
+def render_qa_loglik(descriptions: list[str], question: str, options: list[str], format: str) -> tuple[str, list[str]]:
+    """Return the prefix every option shares and one continuation per option.
 
-    plain:      "<description> <question> " + the option text.
-    structured: description, restated question, the enumerated choices, then
+    plain:      "<descriptions> <question> " + the option text.
+    structured: descriptions, restated question, the enumerated choices, then
                 "The correct answer is, " + "<letter>: <option text>".
-    All options of one item share the prefix, so their scores compare.
     """
-    if not 0 <= option_index < len(qa.options):
-        raise OptionCountError(f"option index {option_index} out of range")
     if format not in LOGLIK_FORMATS:
         raise ValueError(f"format must be one of {LOGLIK_FORMATS}")
-    option = qa.options[option_index]
+    description = "\n".join(descriptions)
     if format == "plain":
-        return f"{qa.description} {qa.question} ", option
+        return f"{description} {question} ", list(options)
     prefix = (
-        _STRUCTURED_QUESTION.substitute(description=qa.description, question=qa.question)
-        + _choices(qa.options)
+        _STRUCTURED_QUESTION.substitute(description=description, question=question)
+        + _choices(options)
         + _STRUCTURED_LEAD_IN
     )
-    return prefix, f"{option_letter(option_index)}: {option}"
+    return prefix, [f"{option_letter(i)}: {option}" for i, option in enumerate(options)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import FormatError, OptionCountError, UsageError
 from .ingest import utf8_encodable
 from .llm import GenerationRequest, LlmClient, ScoreRequest
-from .prompts import QaPromptInput, render_qa_generative, render_qa_loglik
+from .prompts import render_qa_generative, render_qa_loglik
 
 CLASSIFIERS = ("generative", "loglik")
 
@@ -35,8 +35,8 @@ class QaItem:
     def __post_init__(self) -> None:
         if len(self.options) < 2:
             raise OptionCountError(f"item {self.question_id!r} needs at least 2 options")
-        if len(set(self.options)) != len(self.options):
-            raise OptionCountError(f"item {self.question_id!r}: answer options must be distinct")
+        if "" in self.options or len(set(self.options)) != len(self.options):
+            raise OptionCountError(f"item {self.question_id!r}: answer options must be non-empty and distinct")
         if self.answer_index is not None and not 0 <= self.answer_index < len(self.options):
             raise ValueError(f"item {self.question_id!r}: answer_index out of range")
         if not all(map(utf8_encodable, [self.question, *self.options])):  # argv holds undecodable bytes as lone surrogates
@@ -57,15 +57,6 @@ class Prediction:
     fallback: bool = False
 
 
-def _qa_input(descriptions: list[str], item: QaItem, duration_s: float) -> QaPromptInput:
-    return QaPromptInput(
-        description="\n".join(descriptions),
-        question=item.question,
-        options=tuple(item.options),
-        duration_s=duration_s,
-    )
-
-
 def _letter_index(reply: str) -> int:
     """The option index of the first standalone letter A-E in reply."""
     m = _STANDALONE_LETTER.search(reply)
@@ -82,7 +73,7 @@ def answer_generative(
     An unparseable reply triggers exactly one re-ask; if that also fails the
     prediction falls back to option 0 and is flagged.
     """
-    prompt = render_qa_generative(_qa_input(descriptions, item, duration_s))
+    prompt = render_qa_generative(descriptions, item.question, item.options, duration_s)
     choice, raw = client.generate_parsed(GenerationRequest(prompt, max_new_tokens=16), _letter_index, 2)
     return Prediction(
         question_id=item.question_id,
@@ -102,14 +93,11 @@ def answer_loglik(
     """Score every option's continuation and take the argmax.
 
     The options are scored concurrently through client.map, one score
-    request each. An option's score is the raw joint log-probability of
-    its continuation. Ties resolve to the lowest option index.
+    request each on the prefix they share. An option's score is the raw
+    joint log-probability of its continuation. Ties go to the lowest index.
     """
-    qa = _qa_input(descriptions, item, duration_s=0.0)
-    requests = [
-        ScoreRequest(*render_qa_loglik(qa, index, format)) for index in range(len(item.options))
-    ]
-    scores = client.map(client.score, requests)
+    prefix, continuations = render_qa_loglik(descriptions, item.question, item.options, format)
+    scores = client.map(client.score, [ScoreRequest(prefix, c) for c in continuations])
     choice = max(range(len(scores)), key=lambda i: (scores[i], -i))
     return Prediction(
         question_id=item.question_id,

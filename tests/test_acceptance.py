@@ -6,6 +6,7 @@ to see one pass line per criterion.
 import math
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from langrepo.evalharness import Providers, evaluate, write_predictions
 from langrepo.grouping import match_and_group, split
 from langrepo.ingest import RepoDescription, RepoEntry, chunk_captions, chunk_items, transform_rate
 from langrepo.llm import LlmClient, MockBackend
-from langrepo.prompts import QaPromptInput, render_qa_generative, render_qa_loglik
+from langrepo.prompts import render_qa_generative, render_qa_loglik
 from langrepo.repository import (
     BuildConfig,
     build,
@@ -123,8 +124,8 @@ def test_criterion_3_occurrence_conservation_and_timestamp_containment():
     _passed("criterion 3", "occurrences conserved at 60 per scale; all spans contained")
 
 
-GENERATIVE_FIXTURE = QaPromptInput(
-    description="C looks around the room.\nC picks up a knife.",
+GENERATIVE_FIXTURE = SimpleNamespace(
+    descriptions=["C looks around the room.", "C picks up a knife."],
     question="What is the main activity shown",
     options=(
         "cutting vegetables",
@@ -159,19 +160,20 @@ EXPECTED_GENERATIVE = (
 
 def test_criterion_4_prompt_byte_exactness():
     """Rendered QA prompts must equal their published skeletons byte for byte."""
-    assert render_qa_generative(GENERATIVE_FIXTURE) == EXPECTED_GENERATIVE
-
     qa = GENERATIVE_FIXTURE
+    assert render_qa_generative(qa.descriptions, qa.question, qa.options, qa.duration_s) == EXPECTED_GENERATIVE
+
+    description = "C looks around the room.\nC picks up a knife."  # the descriptions, one per line
     # plain: "${description} ${question} ${answer_option}", scored on the option
-    for i, option in enumerate(qa.options):
-        prefix, continuation = render_qa_loglik(qa, i, "plain")
-        assert prefix + continuation == f"{qa.description} {qa.question} {option}"
+    prefix, continuations = render_qa_loglik(qa.descriptions, qa.question, qa.options, "plain")
+    for option, continuation in zip(qa.options, continuations, strict=True):
+        assert prefix + continuation == f"{description} {qa.question} {option}"
         assert continuation == option
 
     # structured: enumerated choices then "The correct answer is,
     # ${option_id}: ${answer_option}", scored on the id + option
     expected_structured_prefix = (
-        f"{qa.description} Based on the description above, answer the following"
+        f"{description} Based on the description above, answer the following"
         f" question: {qa.question}? Select one of these choices as the answer:\n"
         " A: cutting vegetables\n"
         " B: washing dishes\n"
@@ -180,9 +182,9 @@ def test_criterion_4_prompt_byte_exactness():
         " E: opening a window\n"
         " The correct answer is, "
     )
-    for i, option in enumerate(qa.options):
-        prefix, continuation = render_qa_loglik(qa, i, "structured")
-        assert prefix == expected_structured_prefix
+    prefix, continuations = render_qa_loglik(qa.descriptions, qa.question, qa.options, "structured")
+    assert prefix == expected_structured_prefix
+    for i, (option, continuation) in enumerate(zip(qa.options, continuations, strict=True)):
         assert continuation == f"{chr(ord('A') + i)}: {option}"
     _passed("criterion 4", "generative and both log-likelihood formats are byte-exact")
 

@@ -155,6 +155,13 @@ class TestAnswerCommand:
         assert main(argv) == 2
         assert "question and options must be UTF-8 encodable" in capsys.readouterr().err
 
+    def test_empty_option_exits_2(self, tmp_path, config_path, captions_path, capsys):
+        repo_path = build_repo(tmp_path, config_path, captions_path)
+        capsys.readouterr()
+        argv = ["answer", "--repo", str(repo_path), "--config", str(config_path), "--question", "q", "--options", "", "b"]
+        assert main(argv) == 2
+        assert "answer options must be non-empty" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def write_dataset(self, tmp_path, n=2):
@@ -397,3 +404,37 @@ def test_exit_status_by_error_class(error, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_inspect", fail)
     assert main(["inspect", "--repo", "unused.json"]) == (2 if error.__name__ in EXITS_2 else 1)
     assert capsys.readouterr().err == f"error: raised {error.__name__}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, problem",
+    [
+        ("build", "--out", "no-dir"),
+        ("build", "--out", "a-dir"),
+        ("eval", "--report-out", "no-dir"),
+        ("eval", "--report-out", "a-dir"),
+        ("eval", "--predictions-out", "no-dir"),
+        ("eval", "--predictions-out", "a-dir"),
+    ],
+)
+def test_bad_output_path_exits_2_before_any_backend_call(
+    tmp_path, config_path, captions_path, capsys, monkeypatch, command, flag, problem
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("providers made before the output paths were checked")
+
+    monkeypatch.setattr(cli, "make_providers", unreachable)
+    argv = {
+        "build": ["--captions", str(captions_path), "--config", str(config_path), "--out", str(tmp_path / "r.json")],
+        "eval": [
+            "--dataset", str(TestEvalCommand().write_dataset(tmp_path)),
+            "--captions-dir", str(captions_path.parent),
+            "--config", str(config_path),
+            "--report-out", str(tmp_path / "report.json"),
+            "--predictions-out", str(tmp_path / "predictions.json"),
+        ],
+    }[command]
+    bad = tmp_path / "missing" / "out.json" if problem == "no-dir" else tmp_path
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main([command, *argv]) == 2
+    assert f"{flag} {bad}" in capsys.readouterr().err

@@ -9,6 +9,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import langrepo
 from langrepo.cli import build_parser
 from langrepo.config import AppConfig, LlmSettings
@@ -18,6 +20,7 @@ from langrepo.repository import BuildConfig
 from conftest import make_caption_set, write_caption_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def library_use_section() -> str:
@@ -66,3 +69,11 @@ def test_command_line_block_matches_the_parser():
     for _, command, *words in lines:
         accepted = subparsers[command]._option_string_actions
         assert [w for w in words if w.startswith("-") and w not in accepted] == [], command
+
+
+def test_dev_extra_installs_the_benchmark_plugin():
+    # tests/test_persistence.py uses pytest-benchmark's fixture and mark; without the plugin
+    # filterwarnings = ["error"] turns the unknown mark into a collection error.
+    tomllib = pytest.importorskip("tomllib")
+    dev = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["optional-dependencies"]["dev"]
+    assert [spec for spec in dev if re.match(r"pytest-benchmark\b", spec)] != []

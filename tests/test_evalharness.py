@@ -104,6 +104,12 @@ class TestLoadQaDataset:
         with pytest.raises(MalformedFile, match=r"qa\.json: items\[1\]: item 'q1'.*distinct"):
             load_qa_dataset(dataset_file(tmp_path, [qa_entry("q0"), entry]))
 
+    def test_empty_option_rejected_at_load(self, tmp_path):
+        # an empty option cannot be scored, so it must fail here, not after the video is built
+        entry = {**qa_entry("q0"), "options": ["", "yy"]}
+        with pytest.raises(MalformedFile, match=r"qa\.json: items\[0\]: item 'q0'.*non-empty"):
+            load_qa_dataset(dataset_file(tmp_path, [entry]))
+
     def test_no_items_rejected(self, tmp_path):
         with pytest.raises(EmptyInput, match=r"qa\.json: items is empty"):
             load_qa_dataset(dataset_file(tmp_path, []))

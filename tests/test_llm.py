@@ -13,6 +13,7 @@ import requests
 
 from langrepo.errors import (
     BackendUnavailable,
+    ConfigError,
     ContextOverflow,
     CountMismatch,
     FormatError,
@@ -114,6 +115,12 @@ class TestCacheAndLedger:
         c2.generate(req("P"))
         assert c2.ledger.total_calls() == 0
         assert c2.ledger.snapshot()["cache_hits"] == 1
+
+    def test_cache_dir_that_cannot_be_created_is_a_config_error(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        with pytest.raises(ConfigError, match="cache_dir .*taken"):
+            LlmClient(MockBackend(), cache_dir=taken)
 
     def test_distinct_attempts_are_distinct_calls(self):
         client = LlmClient(MockBackend())

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from langrepo.errors import CountMismatch, FormatError, OptionCountError
 from langrepo.prompts import (
-    QaPromptInput,
     parse_rephrase_output,
     render_qa_generative,
     render_qa_loglik,
@@ -17,11 +16,10 @@ OPTIONS = ("opt one", "opt two", "opt three", "opt four", "opt five")
 
 
 def qa_input(**kw):
-    kw.setdefault("description", "C does things.")
+    kw.setdefault("descriptions", ["C does things."])
     kw.setdefault("question", "What happened")
     kw.setdefault("options", OPTIONS)
-    kw.setdefault("duration_s", 180.0)
-    return QaPromptInput(**kw)
+    return kw
 
 
 class TestRenderRephrase:
@@ -144,67 +142,63 @@ class TestRenderSummarize:
 
 class TestGenerativePrompt:
     def test_begins_with_appendix_header(self):
-        prompt = render_qa_generative(qa_input())
+        prompt = render_qa_generative(**qa_input(), duration_s=180.0)
         assert prompt.startswith("[INST] <<SYS>> You are a helpful expert")
         assert prompt.endswith("[/INST]")
 
     def test_four_options_rejected(self):
         with pytest.raises(OptionCountError):
-            render_qa_generative(qa_input(options=OPTIONS[:4]))
+            render_qa_generative(**qa_input(options=OPTIONS[:4]), duration_s=180.0)
 
     def test_newlines_embedded_verbatim(self):
-        prompt = render_qa_generative(qa_input(description="line1\nline2"))
+        prompt = render_qa_generative(**qa_input(descriptions=["line1", "line2"]), duration_s=180.0)
         assert "Here are the descriptions: line1\nline2." in prompt
 
     def test_integral_duration_rendered_bare(self):
-        assert "The video is 180 seconds long." in render_qa_generative(qa_input())
-        assert "The video is 44.5 seconds long." in render_qa_generative(
-            qa_input(duration_s=44.5)
-        )
+        assert "The video is 180 seconds long." in render_qa_generative(**qa_input(), duration_s=180.0)
+        assert "The video is 44.5 seconds long." in render_qa_generative(**qa_input(), duration_s=44.5)
 
     def test_deterministic(self):
-        assert render_qa_generative(qa_input()) == render_qa_generative(qa_input())
+        qa = qa_input(duration_s=180.0)
+        assert render_qa_generative(**qa) == render_qa_generative(**qa)
 
 
 class TestLoglikPrompt:
     def test_plain_continuation_is_option_text(self):
-        prefix, continuation = render_qa_loglik(qa_input(), 0, "plain")
-        assert continuation == OPTIONS[0]
+        prefix, continuations = render_qa_loglik(**qa_input(), format="plain")
+        assert continuations[0] == OPTIONS[0]
         assert prefix == "C does things. What happened "
 
     def test_structured_continuation_has_letter(self):
-        _, continuation = render_qa_loglik(qa_input(), 2, "structured")
-        assert continuation == "C: opt three"
+        _, continuations = render_qa_loglik(**qa_input(), format="structured")
+        assert continuations[2] == "C: opt three"
 
     def test_prefixes_differ_between_formats(self):
-        plain_prefix, plain_cont = render_qa_loglik(qa_input(), 1, "plain")
-        structured_prefix, structured_cont = render_qa_loglik(qa_input(), 1, "structured")
+        plain_prefix, plain_conts = render_qa_loglik(**qa_input(), format="plain")
+        structured_prefix, structured_conts = render_qa_loglik(**qa_input(), format="structured")
         assert plain_prefix != structured_prefix
-        assert OPTIONS[1] in plain_cont and OPTIONS[1] in structured_cont
+        assert OPTIONS[1] in plain_conts[1] and OPTIONS[1] in structured_conts[1]
 
-    def test_shared_prefix_across_options(self):
-        for fmt in ("plain", "structured"):
-            prefixes = {render_qa_loglik(qa_input(), i, fmt)[0] for i in range(5)}
-            assert len(prefixes) == 1
+    def test_continuations_line_up_with_options(self):
+        _, plain = render_qa_loglik(**qa_input(), format="plain")
+        _, structured = render_qa_loglik(**qa_input(), format="structured")
+        assert plain == list(OPTIONS)
+        assert structured == [f"{letter}: {option}" for letter, option in zip("ABCDE", OPTIONS)]
 
     def test_structured_enumerates_choices(self):
-        prefix, _ = render_qa_loglik(qa_input(), 0, "structured")
+        prefix, _ = render_qa_loglik(**qa_input(), format="structured")
         for letter, option in zip("ABCDE", OPTIONS):
             assert f" {letter}: {option}\n" in prefix
         assert prefix.endswith("The correct answer is, ")
 
     def test_more_than_five_options_supported(self):
         qa = qa_input(options=tuple(f"o{i}" for i in range(7)))
-        _, continuation = render_qa_loglik(qa, 6, "structured")
-        assert continuation == "G: o6"
-
-    def test_bad_option_index(self):
-        with pytest.raises(OptionCountError):
-            render_qa_loglik(qa_input(), 9, "plain")
+        _, continuations = render_qa_loglik(**qa, format="structured")
+        assert continuations[6] == "G: o6"
 
     def test_bad_format(self):
         with pytest.raises(ValueError):
-            render_qa_loglik(qa_input(), 0, "fancy")
+            render_qa_loglik(**qa_input(), format="fancy")
 
 
 def test_template_version_is_pinned():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from langrepo.errors import OptionCountError
 from langrepo.llm import LlmClient, MockBackend
-from langrepo.prompts import QaPromptInput, render_qa_generative
+from langrepo.prompts import render_qa_generative
 from langrepo.vqa import QaItem, answer_generative, answer_loglik
 
 OPTIONS = ["first option", "second option", "third option", "fourth option", "fifth option"]
@@ -60,14 +60,7 @@ class BarrierBackend(MockBackend):
 class TestAnswerGenerative:
     def run(self, reply, descriptions=("C stands.",)):
         qa = item()
-        prompt = render_qa_generative(
-            QaPromptInput(
-                description="\n".join(descriptions),
-                question=qa.question,
-                options=tuple(qa.options),
-                duration_s=180.0,
-            )
-        )
+        prompt = render_qa_generative(list(descriptions), qa.question, qa.options, 180.0)
         client = LlmClient(MockBackend(scripted={prompt: reply}))
         return answer_generative(list(descriptions), qa, 180.0, client), client
 
