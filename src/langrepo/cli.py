@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -25,10 +26,16 @@ from .vqa import QaItem
 
 
 def check_outputs(*flags_and_paths: tuple[str, str]) -> None:
-    """UsageError naming the flag unless each output's parent is an existing directory and it is not one."""
+    """UsageError naming the flag unless each output's parent is an existing directory and it is
+    not one, or naming both flags if two outputs resolve to one file."""
+    flags_by_file: dict[str, str] = {}
     for flag, path in flags_and_paths:
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             raise UsageError(f"{flag} {path}: an output must name a file in an existing directory")
+        resolved = os.path.realpath(path)  # unlike Path.resolve, it does not raise on a symlink loop
+        other = flags_by_file.setdefault(resolved, flag)
+        if other != flag:
+            raise UsageError(f"{other} and {flag} both name {resolved}: each output needs its own file")
 
 
 def cmd_build(args) -> int:

@@ -192,9 +192,10 @@ class CaptionSet:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class RepoDescription:
-    """One stored description: text, founding time spans, merge count."""
+    """One stored description: text, founding time spans, merge count.
+    A write pass that does not merge it keeps this same record in the next scale: treat it as read-only."""
 
     text: str
     timestamps: list[list[float]]

@@ -27,6 +27,16 @@ def make_caption_set(n: int, video_id: str = "vid", span_s: float = 1.0) -> Capt
     return CaptionSet(video_id=video_id, duration_s=n * span_s, captions=captions)
 
 
+@pytest.hookimpl(trylast=True)
+def pytest_terminal_summary(terminalreporter, config):
+    """After pytest-benchmark's table, each benchmark's extra_info, such as
+    the bytes a loaded repository holds."""
+    for bench in getattr(getattr(config, "_benchmarksession", None), "benchmarks", ()):
+        if bench.extra_info:
+            info = ", ".join(f"{key} {value:,}" for key, value in sorted(bench.extra_info.items()))
+            terminalreporter.write_line(f"{bench.name}: {info}")
+
+
 def settled_thread_count(target, timeout_s=5.0):
     """The thread count once it falls to target, or after timeout_s."""
     deadline = time.monotonic() + timeout_s

@@ -4,6 +4,7 @@ Pure-Python loops only; deliberately kept free of the library's matching
 code so the two routes can disagree.
 """
 
+import dataclasses
 import json
 import math
 
@@ -48,7 +49,7 @@ def reference_canonical_json(repo):
     to_canonical_json serialized with json.dumps, whose indented encoder is
     pure Python."""
     scales = [
-        [{"chunk_index": entry.chunk_index, "descriptions": list(map(vars, entry.descriptions))} for entry in scale]
+        [{"chunk_index": entry.chunk_index, "descriptions": list(map(dataclasses.asdict, entry.descriptions))} for entry in scale]
         for scale in repo.scales
     ]
     payload = {"schema_version": 1, "video_id": repo.video_id, "duration_s": float(repo.duration_s),

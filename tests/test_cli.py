@@ -438,3 +438,27 @@ def test_bad_output_path_exits_2_before_any_backend_call(
     argv[argv.index(flag) + 1] = str(bad)
     assert main([command, *argv]) == 2
     assert f"{flag} {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", ["same", "other"])
+def test_eval_outputs_naming_one_file_exit_2_before_any_backend_call(
+    tmp_path, config_path, captions_path, capsys, monkeypatch, spelling
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("providers made before the output paths were checked")
+
+    monkeypatch.setattr(cli, "make_providers", unreachable)
+    (tmp_path / "sub").mkdir()
+    report = tmp_path / "same.json"
+    predictions = str(report) if spelling == "same" else f"{tmp_path}/sub/../same.json"
+    argv = [
+        "eval",
+        "--dataset", str(TestEvalCommand().write_dataset(tmp_path)),
+        "--captions-dir", str(captions_path.parent),
+        "--config", str(config_path),
+        "--report-out", str(report),
+        "--predictions-out", predictions,
+    ]
+    assert main(argv) == 2
+    assert "--report-out and --predictions-out both name" in capsys.readouterr().err
+    assert not report.exists()

@@ -296,15 +296,15 @@ def test_probe_cases_exit_2_naming_the_field(tmp_path, capsys, kind, change, fie
     captions_dir = tmp_path / "captions"
     captions_dir.mkdir()
     write_caption_file(captions_dir / "vid.json", make_caption_set(12))
-    out = str(tmp_path / "out")
+    out, predictions_out = str(tmp_path / "out"), str(tmp_path / "predictions-out")
     argv = {
         "captions": ["build", "--captions", str(bad), "--config", str(config), "--out", out],
         "qa": ["eval", "--dataset", str(bad), "--captions-dir", str(captions_dir), "--config", str(config),
-               "--report-out", out, "--predictions-out", out],
+               "--report-out", out, "--predictions-out", predictions_out],
         "repository": ["inspect", "--repo", str(bad)],
         "config": ["build", "--captions", str(captions_dir / "vid.json"), "--config", str(bad), "--out", out],
     }[kind]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"bad-{kind}.json: {field} must be" in err
-    assert not Path(out).exists()
+    assert not Path(out).exists() and not Path(predictions_out).exists()

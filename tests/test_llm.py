@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 import requests
@@ -29,6 +30,7 @@ from langrepo.llm import (
     MockBackend,
     ResponseCache,
     ScoreRequest,
+    _TASK_KEY,
 )
 
 from conftest import settled_thread_count
@@ -789,6 +791,49 @@ class ThreadPeak:
         self._thread.join()
 
 
+def record_grant_order(client):
+    """The keys of client's backend calls, in the order their slots are granted.
+
+    Wraps the scheduler's backend_slot and records under the scheduler's
+    lock, which is reentrant, at the grant itself rather than when the
+    granted thread next runs. A free slot is taken by the asking thread
+    while the wrapper holds the lock; a queued call's slot is handed over
+    by the releasing thread, which records the smallest waiting key before
+    its release runs. A slot freed between the asker's check and its
+    queueing is taken at once, and the asker records that grant itself.
+    """
+    scheduler, slot = client._scheduler, client._scheduler.backend_slot
+    recorded, order = set(), []
+
+    def record(key):
+        if key not in recorded:
+            recorded.add(key)
+            order.append(key)
+
+    @contextmanager
+    def recording_slot():
+        key, held = _TASK_KEY.get(), slot()
+        with scheduler._cond:
+            at_once = scheduler._free_slots > 0
+            if at_once:
+                record(key)
+                held.__enter__()
+        if not at_once:
+            held.__enter__()
+            with scheduler._cond:
+                record(key)
+        try:
+            yield
+        finally:
+            with scheduler._cond:
+                if scheduler._slot_waiters:
+                    record(scheduler._slot_waiters[0][0])
+                held.__exit__(None, None, None)
+
+    scheduler.backend_slot = recording_slot
+    return order
+
+
 def run_within(fn, timeout_s=30.0):
     """fn() on its own thread, failing if it runs longer than timeout_s."""
     outcome = {}
@@ -834,10 +879,10 @@ class TestScheduler:
         assert settled_thread_count(before) == before
 
     def test_oldest_outer_item_runs_first(self):
-        backend = SleepyBackend()
-        client = LlmClient(backend, max_parallel=self.P)
+        client = LlmClient(SleepyBackend(), max_parallel=self.P)
+        granted = record_grant_order(client)
         run_within(lambda: self.nested_map(client))
-        outer = [int(prompt.split("-")[0]) for prompt in backend.started]
+        outer = [key[0] for key in granted]
         for i in range(self.OUTER):
             starts = [n for n, o in enumerate(outer) if o == i]
             assert len(starts) == self.INNER

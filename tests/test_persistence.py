@@ -2,13 +2,14 @@
 values a saved repository may hold, and the persistence layer's timings.
 
 `pytest --benchmark-only` prints the timings of to_canonical_json and load
-on a 600-caption repository; the plain suite runs them briefly, asserting
-nothing about time.
+on a 600-caption repository, and after them the bytes a loaded repository
+holds; the plain suite runs them briefly, asserting nothing about time.
 """
 
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,43 @@ def test_save_load_save_round_trips(repo, round_trip_path):
     assert round_trip_path.read_bytes() == first
 
 
+def identity_pattern(repo: Repository) -> list[int]:
+    """For each description in saved order, the position of the first one that is the same object."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(d), n) for n, d in enumerate(d for s in repo.scales for e in s for d in e.descriptions)]
+
+
+def test_load_shares_each_pass_through_description_as_build_does(repository_600, tmp_path):
+    path = tmp_path / "repo.json"
+    save(repository_600, path)
+    loaded = load(path)
+    built_pattern = identity_pattern(repository_600)
+    assert len(set(built_pattern)) < len(built_pattern)  # the write passes let descriptions through
+    assert identity_pattern(loaded) == built_pattern
+
+
+def test_load_shares_only_descriptions_that_save_alike(tmp_path):
+    # 0.0 == -0.0, and a cheap key that misses a middle span clashes: neither may be shared.
+    zero, signed_zero = RepoDescription("a", [[0.0, 1.0]]), RepoDescription("a", [[-0.0, 1.0]])
+    gap, no_gap = RepoDescription("b", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), RepoDescription("b", [[1.0, 2.0], [2.5, 4.0], [5.0, 6.0]])
+    scales = [[RepoEntry(0, [zero, gap])], [RepoEntry(0, [signed_zero, no_gap, zero, gap]), RepoEntry(1, [no_gap, signed_zero])]]
+    repo = Repository("v", 6.0, scales, BuildConfig(), {})
+    path = tmp_path / "repo.json"
+    save(repo, path)
+    loaded = load(path)
+    assert loaded == repo
+    assert identity_pattern(loaded) == identity_pattern(repo) == [0, 1, 2, 3, 0, 1, 3, 2]
+    save(loaded, path)
+    assert path.read_bytes() == to_canonical_json(repo).encode("utf-8")
+
+
+def test_description_has_no_instance_dict():
+    description = RepoDescription("x", [[0.0, 1.0]])
+    assert not hasattr(description, "__dict__")
+    with pytest.raises(AttributeError):
+        description.extra = 1
+
+
 def test_integer_bounds_and_duration_are_stored_as_floats():
     repo = Repository("v", 3, [[RepoEntry(0, [RepoDescription("x", [[1, 2]])])]], BuildConfig(), {})
     assert type(repo.duration_s) is float
@@ -181,8 +219,19 @@ def test_bench_to_canonical_json(benchmark, repository_600):
     assert benchmark(to_canonical_json, repository_600) == reference_canonical_json(repository_600)
 
 
+def retained_bytes(fn, *args) -> int:
+    """The bytes that fn(*args) allocates and still holds when it returns, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)  # noqa: F841  held while its memory is counted
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.benchmark(group="persistence", max_time=0.3)
 def test_bench_load(benchmark, repository_600, tmp_path):
     path = tmp_path / "repo.json"
     save(repository_600, path)
     assert benchmark(load, path) == repository_600
+    benchmark.extra_info["retained_bytes"] = retained_bytes(load, path)
