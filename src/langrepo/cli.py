@@ -27,12 +27,14 @@ from .vqa import QaItem
 
 def check_outputs(*flags_and_paths: tuple[str, str]) -> None:
     """UsageError naming the flag unless each output's parent is an existing directory and it is
-    not one, or naming both flags if two outputs resolve to one file."""
+    neither one nor a symlink loop, or naming both flags if two outputs resolve to one file."""
     flags_by_file: dict[str, str] = {}
     for flag, path in flags_and_paths:
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             raise UsageError(f"{flag} {path}: an output must name a file in an existing directory")
-        resolved = os.path.realpath(path)  # unlike Path.resolve, it does not raise on a symlink loop
+        resolved = os.path.realpath(path)
+        if os.path.islink(resolved):  # realpath leaves a symlink loop unresolved, where Path.resolve may raise
+            raise UsageError(f"{flag} {path}: an output must not be a symlink loop")
         other = flags_by_file.setdefault(resolved, flag)
         if other != flag:
             raise UsageError(f"{other} and {flag} both name {resolved}: each output needs its own file")

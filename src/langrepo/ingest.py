@@ -17,6 +17,7 @@ import dataclasses
 import json
 import re
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -58,95 +59,167 @@ def decode(cls, raw, where: str, error: type[LangRepoError], *, reject_unknown: 
     field's default; an unknown key is an error if reject_unknown, else
     ignored. A wrong value, or a ValueError or LangRepoError a constructor
     raises, becomes error, whose message starts with where and names the
-    field."""
+    field.
+
+    Valid input is read by one function compiled per dataclass, as
+    dataclasses compiles __init__: its code checks and builds every scalar
+    and list inline, so there is no Python call per scalar or per list
+    element. The failing field's path is worked out only after a check
+    fails: raw is then walked again, field by field and element by element
+    in the order decode reads them, to the first value that does not fit.
+    A dataclass with a decode_shared class method is built through it,
+    given a dict kept for that class through one decode, so that it may give
+    back a record it built before.
+    """
     try:
-        return _converter(cls, reject_unknown)(raw)
-    except _Misfit as exc:
-        path, problem = exc.args
-        raise error(f"{where}: {path.lstrip('.')}{problem}" if path else f"{where}{problem}") from exc.__cause__
+        return _converter(cls, reject_unknown)(raw, defaultdict(dict))
+    except _FAULTS:
+        path, fault = _first_misfit(cls, raw, reject_unknown)
+    if isinstance(fault, _Misfit):
+        problem, cause = fault.args[0], None
+    elif isinstance(fault, (ValueError, LangRepoError)):
+        problem, cause = f": {fault}", fault
+    else:  # a KeyError a constructor raised
+        raise fault
+    raise error(f"{where}: {path.lstrip('.')}{problem}" if path else f"{where}{problem}") from cause
 
 
 class _Misfit(Exception):
-    """(path, problem) of a value that does not fit; the path grows as the error leaves each value."""
+    """The problem of a value that does not fit its annotation, as the error message ends."""
 
 
-def _wrong(kind: str, value) -> _Misfit:
+# What a converter raises where a check fails: a misfit, a missing key, or a constructor's refusal.
+_FAULTS = (_Misfit, KeyError, ValueError, LangRepoError)
+
+
+_KINDS = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number",
+          list: "an array", dict: "an object"}
+
+
+def _misfit(tp, value):
+    """Raise the _Misfit of value, which does not fit the kind tp."""
     shown = "an array" if type(value) is list else "an object" if type(value) is dict else json.dumps(value)[:60]
-    return _Misfit("", f" must be {kind}, got {shown}")
+    kind = "a string UTF-8 can encode" if tp is str and type(value) is str else _KINDS[tp]
+    raise _Misfit(f" must be {kind}, got {shown}")
 
 
-_KINDS = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number"}
+# For each scalar kind, the condition under which the JSON value in {x} is already its decoded value.
+_AS_IS = {
+    str: "type({x}) is str and ({x}.isascii() or not _surrogate({x}))",  # a lone surrogate can be neither saved nor sent
+    bool: "type({x}) is bool",
+    int: "type({x}) is int",
+    float: "type({x}) is float and {x} - {x} == 0.0",  # nan and +-inf give nan
+}
+# The decoded value of a float that is not one already: an int is widened.
+_WIDEN = "float({x}) if type({x}) is int and -_MAX <= {x} <= _MAX else _misfit(float, {x})"
+
+
+def _emit(tp, x: str, lines: list[str], depth: int, reject_unknown: bool, env: dict) -> None:
+    """Append to lines, depth levels in, statements that check the JSON value
+    in variable x against tp and rebind x to the value decode gives for it,
+    raising _Misfit, or what a constructor raises, where a check fails.
+    Converters of nested dataclasses go into env."""
+    origin, args = get_origin(tp), get_args(tp)
+    pad = "    " * depth
+
+    def add(*statements: str) -> None:
+        lines.extend(pad + statement for statement in statements)
+
+    if dataclasses.is_dataclass(tp):
+        name = f"_{tp.__name__}_{id(tp):x}"
+        env[name] = _converter(tp, reject_unknown)
+        add(f"{x} = {name}({x}, memo)")
+    elif tp in _AS_IS:
+        fix = f"{x} = {_WIDEN.format(x=x)}" if tp is float else f"_misfit({tp.__name__}, {x})"
+        add(f"if not ({_AS_IS[tp].format(x=x)}):", f"    {fix}")
+    elif origin is UnionType and len(args) == 2 and args[1] is type(None):
+        add(f"if {x} is not None:")
+        _emit(args[0], x, lines, depth + 1, reject_unknown, env)
+    elif origin is list and args[0] in _AS_IS:  # copied whole, unless a float must be widened
+        item, y = args[0], x + "_"
+        fix = (f"{x} = [{y} if {_AS_IS[float].format(x=y)} else {_WIDEN.format(x=y)} for {y} in {x}]"
+               if item is float else f"_misfit({item.__name__}, {y})")
+        add(f"if type({x}) is not list:", f"    _misfit(list, {x})", f"for {y} in {x}:",
+            f"    if not ({_AS_IS[item].format(x=y)}):", f"        {fix}", "        break",
+            "else:", f"    {x} = {x}[:]")
+    elif origin is list or origin is dict and args[0] is str:
+        name = origin.__name__
+        add(f"if type({x}) is not {name}:", f"    _misfit({name}, {x})", f"{x}_out = {'[]' if origin is list else '{}'}")
+        add(f"for {x}_ in {x}:" if origin is list else f"for {x}_key, {x}_ in {x}.items():")
+        _emit(args[-1], x + "_", lines, depth + 1, reject_unknown, env)
+        add(f"    {x}_out.append({x}_)" if origin is list else f"    {x}_out[{x}_key] = {x}_", f"{x} = {x}_out")
+    else:
+        raise TypeError(f"decode cannot read a value of type {tp!r}")
+
+
+@lru_cache(maxsize=None)
+def _fields(cls) -> tuple[tuple[str, object, object], ...]:
+    """(name, annotation, None or a function giving the default) of each
+    field of cls, in the constructor's parameter order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.default_factory if f.default_factory is not dataclasses.MISSING
+                  else None if f.default is dataclasses.MISSING else lambda value=f.default: value)
+                 for f in dataclasses.fields(cls))
 
 
 @lru_cache(maxsize=None)
 def _converter(tp, reject_unknown: bool):
-    """The function that checks and builds a value of type tp, made once per type."""
+    """The function (value, memo) that checks and builds a value of type tp,
+    compiled once per type; memo holds a dict per class for decode_shared."""
+    env = {"_misfit": _misfit, "_surrogate": _SURROGATE.search, "_MAX": _MAX}
+    lines = ["def convert(v, memo):"]
+    if not dataclasses.is_dataclass(tp):
+        _emit(tp, "v", lines, 1, reject_unknown, env)
+        lines.append("    return v")
+    else:
+        lines += ["    if type(v) is not dict:", "        _misfit(dict, v)"]
+        if reject_unknown:
+            env.update(_names=frozenset(name for name, _, _ in _fields(tp)), _Misfit=_Misfit)
+            lines += ["    if not _names.issuperset(v):",
+                      "        raise _Misfit(f\" has unknown key(s): {', '.join(sorted(set(v) - _names))}\")"]
+        for i, (name, annotation, default) in enumerate(_fields(tp)):
+            if default is None:
+                lines.append(f"    f{i} = v[{name!r}]")
+                _emit(annotation, f"f{i}", lines, 1, reject_unknown, env)
+            else:
+                env[f"_default{i}"] = default
+                lines += [f"    f{i} = v.get({name!r}, _absent)", f"    if f{i} is _absent:",
+                          f"        f{i} = _default{i}()", "    else:"]
+                _emit(annotation, f"f{i}", lines, 2, reject_unknown, env)
+        fields = ", ".join(f"f{i}" for i in range(len(_fields(tp))))
+        env.update(_cls=tp, _absent=dataclasses.MISSING, _make=getattr(tp, "decode_shared", None))
+        lines.append(f"    return _make(memo[_cls], {fields})" if env["_make"] else f"    return _cls({fields})")
+    exec(compile("\n".join(lines) + "\n", f"<decode {getattr(tp, '__name__', tp)}>", "exec"), env)
+    return env["convert"]
+
+
+def _first_misfit(tp, value, reject_unknown: bool) -> tuple[str, Exception] | None:
+    """(path, exception) of the first value in value that does not fit tp,
+    in the order decode reads them, or None if value fits."""
+    try:
+        _converter(tp, reject_unknown)(value, defaultdict(dict))
+        return None
+    except _FAULTS as exc:
+        fault = exc  # value's own, unless a part of it is found below
     origin, args = get_origin(tp), get_args(tp)
     if dataclasses.is_dataclass(tp):
-        return _object_converter(tp, reject_unknown)
-    if tp in _KINDS:
-        def convert(value):
-            if type(value) is tp and (tp is not float or value - value == 0.0):  # nan and +-inf give nan
-                if tp is not str or utf8_encodable(value):  # a lone surrogate can be neither saved nor sent
-                    return value
-            if tp is float and type(value) is int and abs(value) <= _MAX:
-                return float(value)
-            raise _wrong("a string UTF-8 can encode" if tp is str and type(value) is str else _KINDS[tp], value)
-    elif origin is UnionType and len(args) == 2 and args[1] is type(None):
-        inner = _converter(args[0], reject_unknown)
-        return lambda value: None if value is None else inner(value)
-    elif origin is list or origin is dict and args[0] is str:
-        item, kind = _converter(args[-1], reject_unknown), "an array" if origin is list else "an object"
-
-        def convert(value):
-            if type(value) is not origin:
-                raise _wrong(kind, value)
-            out = []
-            try:
-                for element in value if origin is list else value.values():
-                    out.append(item(element))
-            except _Misfit as exc:
-                at = len(out) if origin is list else json.dumps(list(value)[len(out)])
-                raise _Misfit(f"[{at}]{exc.args[0]}", exc.args[1]) from exc.__cause__
-            return out if origin is list else dict(zip(value, out))
-    else:
-        raise TypeError(f"decode cannot read a value of type {tp!r}")
-    return convert
-
-
-def _object_converter(cls, reject_unknown: bool):
-    hints = get_type_hints(cls)
-    # (key, converter, None or a function giving the default), in the constructor's parameter order
-    fields = [
-        (f.name, _converter(hints[f.name], reject_unknown),
-         f.default_factory if f.default_factory is not dataclasses.MISSING
-         else None if f.default is dataclasses.MISSING else lambda value=f.default: value)
-        for f in dataclasses.fields(cls)
-    ]
-    names = frozenset(name for name, _, _ in fields)
-
-    def convert(value):
-        if type(value) is not dict:
-            raise _wrong("an object", value)
-        if reject_unknown and not names.issuperset(value):
-            raise _Misfit("", f" has unknown key(s): {', '.join(sorted(set(value) - names))}")
-        args = []
-        for name, item, default in fields:
-            if name in value:
-                try:
-                    args.append(item(value[name]))
-                except _Misfit as exc:
-                    raise _Misfit(f".{name}{exc.args[0]}", exc.args[1]) from exc.__cause__
-            elif default is None:
-                raise _Misfit("." + name, " is missing")
-            else:
-                args.append(default())
-        try:
-            return cls(*args)
-        except (ValueError, LangRepoError) as exc:
-            raise _Misfit("", f": {exc}") from exc
-
-    return convert
+        names = {name for name, _, _ in _fields(tp)}
+        if type(value) is dict and not (reject_unknown and not names.issuperset(value)):
+            for name, annotation, default in _fields(tp):
+                if name in value:
+                    found = _first_misfit(annotation, value[name], reject_unknown)
+                    if found:
+                        return f".{name}{found[0]}", found[1]
+                elif default is None:
+                    return f".{name}", _Misfit(" is missing")
+    elif origin is UnionType and value is not None:
+        return _first_misfit(args[0], value, reject_unknown)
+    elif origin in (list, dict) and type(value) is origin:
+        for at, element in enumerate(value) if origin is list else value.items():
+            found = _first_misfit(args[-1], element, reject_unknown)
+            if found:
+                return f"[{at if origin is list else json.dumps(at)}]{found[0]}", found[1]
+    return "", fault
 
 
 @dataclass(frozen=True)
@@ -209,14 +282,49 @@ class RepoDescription:
             raise ValueError(f"description text must be UTF-8 encodable, got {self.text!r}")
         if type(self.occurrences) is not int or self.occurrences < 1:
             raise ValueError(f"occurrences must be >= 1 and an integer, got {self.occurrences!r}")
-        spans = []
-        for s, e in self.timestamps:
+        # Spans that already hold floats are kept; any other are rebuilt, an int widened, as load reads them back.
+        floats = type(self.timestamps) is list
+        spans = self.timestamps if floats else list(self.timestamps)
+        ordered, last_s, last_e = True, -_MAX, -_MAX
+        for span in spans:
+            s, e = span
             if type(s) not in _BOUND_TYPES or type(e) not in _BOUND_TYPES or not -_MAX <= s <= e <= _MAX:  # nan fails too
                 raise ValueError(f"invalid span [{s!r}, {e!r}]: bounds must be finite numbers, the end not before the start")
-            spans.append([float(s), float(e)])  # an int is widened, as load reads it back
-        if spans != sorted(spans):
+            if type(s) is not float or type(e) is not float or type(span) is not list:
+                floats, s, e = False, float(s), float(e)
+            if s < last_s or s == last_s and e < last_e:
+                ordered = False
+            last_s, last_e = s, e
+        if not ordered:
             raise ValueError("timestamps must be sorted by start")
-        self.timestamps = spans
+        if not floats:
+            self.timestamps = [[float(s), float(e)] for s, e in spans]
+
+    @classmethod
+    def decode_shared(cls, built: dict, text: str, timestamps: list[list[float]], occurrences: int) -> RepoDescription:
+        """The record in built that saves as these fields would, else a new
+        one put there: decode builds descriptions so, with one built per
+        document, and load, like build, holds a description that several
+        scales keep as one record. A cheap key (text, occurrences, span
+        count, first start, last end) finds the record and equal spans
+        confirm it; as 0.0 == -0.0, spans that may hold a zero (the first
+        start is not above zero) must also match in repr. A description
+        whose cheap key is another's is keyed by its spans' repr instead."""
+        try:
+            key = (text, occurrences, len(timestamps), timestamps[0][0], timestamps[-1][-1])
+        except IndexError:  # no span, or an empty one, which the constructor refuses
+            key = (text, occurrences)
+        first = built.get(key)
+        if first is None:
+            first = built[key] = cls(text, timestamps, occurrences)
+        elif first.timestamps != timestamps or not (
+            not timestamps or timestamps[0][0] > 0 or repr(first.timestamps) == repr(timestamps)
+        ):
+            key = (text, occurrences, repr(timestamps))
+            first = built.get(key)
+            if first is None:
+                first = built[key] = cls(text, timestamps, occurrences)
+        return first
 
     @property
     def earliest_s(self) -> float:

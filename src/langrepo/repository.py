@@ -315,38 +315,12 @@ def save(repo: Repository, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> Repository:
-    """The saved repository, each description it holds at several scales
-    loaded as one record those scales share, as in the repository build made."""
+    """The saved repository. Each description it holds at several scales is
+    read as one record those scales share, as in the repository build made
+    (RepoDescription.decode_shared)."""
     path = Path(path)
     raw = read_json_object(path, MalformedFile)
     version = raw.pop("schema_version", None)
     if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 compare equal to 1
         raise VersionMismatch(f"{path}: schema_version {version!r}, supported {SCHEMA_VERSION}")
-    repo = decode(Repository, raw, str(path), MalformedFile, reject_unknown=True)
-    _share_copies(repo.scales)
-    return repo
-
-
-def _share_copies(scales: list[list[RepoEntry]]) -> None:
-    """Replace each description that saves as one seen before with that first one.
-
-    A cheap key (text, occurrences, span count, first start, last end) finds
-    the first one and equal spans confirm it. As 0.0 == -0.0, spans that may
-    hold a zero (the first start is not above zero) must also match in repr.
-    A description whose key clashes is keyed by its spans' repr instead.
-    """
-    by_key: dict[tuple, RepoDescription] = {}
-    by_form: dict[tuple, RepoDescription] = {}
-    for scale in scales:
-        for entry in scale:
-            descriptions = entry.descriptions
-            for i, d in enumerate(descriptions):
-                spans = d.timestamps
-                key = (d.text, d.occurrences, len(spans), spans[0][0], spans[-1][1]) if spans else (d.text, d.occurrences)
-                first = by_key.setdefault(key, d)
-                if first is d:
-                    continue
-                if first.timestamps == spans and (not spans or spans[0][0] > 0 or repr(first.timestamps) == repr(spans)):
-                    descriptions[i] = first
-                else:
-                    descriptions[i] = by_form.setdefault((d.text, d.occurrences, repr(spans)), d)
+    return decode(Repository, raw, str(path), MalformedFile, reject_unknown=True)

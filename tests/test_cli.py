@@ -462,3 +462,31 @@ def test_eval_outputs_naming_one_file_exit_2_before_any_backend_call(
     assert main(argv) == 2
     assert "--report-out and --predictions-out both name" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("build", "--out"), ("eval", "--report-out"), ("eval", "--predictions-out")]
+)
+def test_symlink_loop_output_exits_2_before_any_backend_call(
+    tmp_path, config_path, captions_path, capsys, monkeypatch, command, flag
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("providers made before the output paths were checked")
+
+    monkeypatch.setattr(cli, "make_providers", unreachable)
+    loop = tmp_path / "la"
+    loop.symlink_to(tmp_path / "lb")
+    (tmp_path / "lb").symlink_to(loop)
+    argv = {
+        "build": ["--captions", str(captions_path), "--config", str(config_path), "--out", str(tmp_path / "r.json")],
+        "eval": [
+            "--dataset", str(TestEvalCommand().write_dataset(tmp_path)),
+            "--captions-dir", str(captions_path.parent),
+            "--config", str(config_path),
+            "--report-out", str(tmp_path / "report.json"),
+            "--predictions-out", str(tmp_path / "predictions.json"),
+        ],
+    }[command]
+    argv[argv.index(flag) + 1] = str(loop)
+    assert main([command, *argv]) == 2
+    assert f"{flag} {loop}: an output must not be a symlink loop" in capsys.readouterr().err

@@ -11,6 +11,7 @@ finite number; NULLABLE fields also take null.
 """
 
 import copy
+import functools
 import json
 import math
 import random
@@ -18,17 +19,21 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from langrepo import config, embed, evalharness, ingest, repository
 from langrepo.cli import main
 from langrepo.config import load_app_config
 from langrepo.embed import Embedder, EmbeddingProviderConfig
 from langrepo.errors import ConfigError, MalformedFile
 from langrepo.evalharness import load_qa_dataset
-from langrepo.ingest import load_captions
+from langrepo.ingest import decode, load_captions
 from langrepo.llm import LlmClient, MockBackend
 from langrepo.repository import BuildConfig, build, load, save, to_canonical_json
 
 from conftest import make_caption_set, write_caption_file
+from reference import reference_decode
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -65,11 +70,15 @@ QA = {
 TABLE = {"C opens the drawer": [1.0, 0.0], "C closes the drawer": [0.0, 1.0]}
 
 
-def saved_repository() -> dict:
+@functools.cache
+def saved_repository_text() -> str:
     cfg = BuildConfig(chunk_schedule=[3, 2], read_scales=1)
     embedder = Embedder(EmbeddingProviderConfig(dimension=16))
-    repo = build(make_caption_set(12), cfg, embedder, LlmClient(MockBackend()), captioner="test")
-    return json.loads(to_canonical_json(repo))
+    return to_canonical_json(build(make_caption_set(12), cfg, embedder, LlmClient(MockBackend()), captioner="test"))
+
+
+def saved_repository() -> dict:
+    return json.loads(saved_repository_text())
 
 
 NULLABLE = {("cache_dir",), ("build", "read_scales"), ("items", 0, "answer_index"),
@@ -308,3 +317,62 @@ def test_probe_cases_exit_2_naming_the_field(tmp_path, capsys, kind, change, fie
     err = capsys.readouterr().err
     assert f"bad-{kind}.json: {field} must be" in err
     assert not Path(out).exists() and not Path(predictions_out).exists()
+
+
+def every_field(value, path=()):
+    """(path, value) of every field and every array element, at any index."""
+    inner = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, element in inner:
+        yield (*path, key), element
+        yield from every_field(element, (*path, key))
+
+
+# Wrong-typed, non-finite and lone-surrogate values, and ints a float field widens.
+MISFITS = [None, True, False, 0, 7, -3, 2.5, 10**400, -(10**400), "x", "", "a\ud800", "\udfff", [], [1.0], ["a"], {},
+           {"k": 1}, math.nan, math.inf, -math.inf]
+DECODE_USERS = [config, embed, evalharness, ingest, repository]
+
+
+def outcome(function, *args, **kwargs):
+    try:
+        return "value", function(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+
+
+@pytest.fixture(scope="module")
+def documents_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
+@pytest.mark.parametrize("name", list(LOADERS))
+@settings(deadline=None, max_examples=120)
+@given(data=st.data())
+def test_decode_agrees_with_the_reference_at_any_index(documents_dir, name, data):
+    """decode, which finds a failing index by walking the value again, gives
+    the reference's value, or its error class and message, for a document
+    with one field at any index replaced."""
+    document, loader, _, _, _ = LOADERS[name]
+    document = copy.deepcopy(document) if document is not None else saved_repository()
+    path, _ = data.draw(st.sampled_from(list(every_field(document))))
+    put(document, path, data.draw(st.sampled_from(MISFITS)))
+    file = documents_dir / f"{name}.json"
+    file.write_text(json.dumps(document))
+    compared, disagreements = [], []
+
+    def both(cls, raw, where, error, *, reject_unknown):
+        expected = outcome(reference_decode, cls, copy.deepcopy(raw), where, error, reject_unknown=reject_unknown)
+        got = outcome(decode, cls, raw, where, error, reject_unknown=reject_unknown)
+        compared.append(cls)
+        if got != expected:
+            disagreements.append((got, expected))
+        if got[0] != "value":
+            raise got[0](got[1])
+        return got[1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in DECODE_USERS:
+            patch.setattr(module, "decode", both)
+        outcome(loader, file)
+    assert compared or path[0] == "schema_version"
+    assert disagreements == []

@@ -2,21 +2,26 @@
 values a saved repository may hold, and the persistence layer's timings.
 
 `pytest --benchmark-only` prints the timings of to_canonical_json and load
-on a 600-caption repository, and after them the bytes a loaded repository
-holds; the plain suite runs them briefly, asserting nothing about time.
+on a 600-caption repository and of load_captions on a 600-caption file the
+bench writes, and after them the bytes a loaded repository holds; the plain
+suite runs them briefly, asserting nothing about time.
 """
 
 import dataclasses
+import importlib.util
 import math
+import random
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langrepo.embed import Embedder, EmbeddingProviderConfig
-from langrepo.ingest import RepoDescription, RepoEntry
+from langrepo.ingest import RepoDescription, RepoEntry, load_captions
 from langrepo.llm import LlmClient, MockBackend
 from langrepo.repository import BuildConfig, Repository, build, load, save, to_canonical_json
 
@@ -149,6 +154,16 @@ def test_integer_bounds_and_duration_are_stored_as_floats():
     assert [type(b) for b in repo.scales[0][0].descriptions[0].timestamps[0]] == [float, float]
 
 
+def test_float_spans_are_kept_and_others_rebuilt():
+    spans = [[0.0, 1.0], [2.0, 3.0]]
+    assert RepoDescription("x", spans).timestamps is spans
+    for given_spans in ([[0, 1.0], [2.0, 3.0]], [[0.0, 1.0], (2.0, 3.0)], ([0.0, 1.0], [2.0, 3.0])):
+        timestamps = RepoDescription("x", given_spans).timestamps
+        assert timestamps == spans and type(timestamps) is list and {type(span) for span in timestamps} == {list}
+    # The order is checked on the widened bounds: these two starts are one float.
+    assert RepoDescription("x", [[2**53 + 1, 2**53 + 1], [2.0**53, 2.0**53]]).timestamps == [[2.0**53, 2.0**53]] * 2
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -235,3 +250,23 @@ def test_bench_load(benchmark, repository_600, tmp_path):
     save(repository_600, path)
     assert benchmark(load, path) == repository_600
     benchmark.extra_info["retained_bytes"] = retained_bytes(load, path)
+
+
+@pytest.fixture(scope="module")
+def bench_captions_path(tmp_path_factory):
+    """The first caption file bench/gen.py writes for seed 1: 600 one-second captions."""
+    spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    path = tmp_path_factory.mktemp("captions") / "vid00.json"
+    gen.write_json(path, gen.caption_set(random.Random(1), "vid00", 600))
+    return path
+
+
+@pytest.mark.benchmark(group="persistence", max_time=0.3)
+def test_bench_load_captions(benchmark, bench_captions_path):
+    assert len(benchmark(load_captions, bench_captions_path).captions) == 600
