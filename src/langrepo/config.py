@@ -13,33 +13,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .embed import Embedder, EmbeddingProviderConfig
-from .errors import ConfigError, require_min, require_timing
+from .errors import ConfigError, require_min
 from .evalharness import Providers
 from .ingest import decode, read_json_object
-from .llm import HttpBackend, LlmClient, MockBackend
+from .llm import HttpBackend, LlmClient, LlmSettings, MockBackend
 from .prompts import LOGLIK_FORMATS
 from .repository import BuildConfig
 from .vqa import CLASSIFIERS
-
-LLM_KINDS = ("mock", "http")
-
-
-@dataclass
-class LlmSettings:
-    kind: str = "mock"
-    endpoint: str = ""
-    model: str = ""
-    max_retries: int = 2
-    backoff_s: float = 1.0
-    timeout_s: float = 120.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in LLM_KINDS:
-            raise ConfigError(f"llm.kind must be one of {LLM_KINDS}, got {self.kind!r}")
-        if self.kind == "http" and (not self.endpoint or not self.model):
-            raise ConfigError("llm.kind 'http' requires endpoint and model")
-        require_min("llm.max_retries", self.max_retries, 0)
-        require_timing("llm", self.timeout_s, self.backoff_s)
 
 
 @dataclass
@@ -65,20 +45,7 @@ def load_app_config(path: str | Path) -> AppConfig:
     return decode(AppConfig, read_json_object(path, ConfigError), str(path), ConfigError, reject_unknown=True)
 
 
-def make_client(cfg: AppConfig) -> LlmClient:
-    if cfg.llm.kind == "http":
-        backend = HttpBackend(
-            base_url=cfg.llm.endpoint,
-            model=cfg.llm.model,
-            max_retries=cfg.llm.max_retries,
-            backoff_s=cfg.llm.backoff_s,
-            timeout_s=cfg.llm.timeout_s,
-        )
-    else:
-        backend = MockBackend()
-    return LlmClient(backend, cache_dir=cfg.cache_dir, max_parallel=cfg.parallelism)
-
-
 def make_providers(cfg: AppConfig) -> Providers:
-    client = make_client(cfg)
+    backend = HttpBackend(cfg.llm) if cfg.llm.kind == "http" else MockBackend()
+    client = LlmClient(backend, cache_dir=cfg.cache_dir, max_parallel=cfg.parallelism)
     return Providers(client=client, embedder=Embedder(cfg.embed, map_batches=client.map))

@@ -20,6 +20,7 @@ import json
 import logging
 import re
 import threading
+import time
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -28,6 +29,7 @@ from typing import TYPE_CHECKING, TypeVar
 
 from .errors import (
     BackendUnavailable, ConfigError, ContextOverflow, CountMismatch, FormatError, MalformedFile, ScoringUnsupported,
+    require_min, require_timing,
 )
 from .ingest import decode
 from .prompts import GROUP_MEMBER_SEPARATOR, ITEM_LINE
@@ -40,6 +42,7 @@ logger = logging.getLogger(__name__)
 PURPOSES = ("rephrase", "summarize", "qa")
 LLM_KEY_ENV = "LANGREPO_LLM_KEY"
 CACHE_FILE = "responses.sqlite"
+_BUSY_TIMEOUT_S = 30.0
 
 _CONTEXT_OVERFLOW = re.compile(r"context|too (?:long|many tokens)|maximum.*length", re.I)
 
@@ -121,8 +124,19 @@ class ResponseCache:
                 self.directory.mkdir(parents=True, exist_ok=True)
                 # Autocommit; WAL lets readers work beside one writer, and the
                 # busy timeout makes writers of other processes wait their turn.
-                self._db = sqlite3.connect(path, timeout=30.0, isolation_level=None, check_same_thread=False)
-                self._db.execute("PRAGMA journal_mode=WAL")
+                self._db = sqlite3.connect(path, timeout=_BUSY_TIMEOUT_S, isolation_level=None, check_same_thread=False)
+                # The switch to WAL does not wait the busy timeout: it fails at
+                # once while another process writes a file still in rollback
+                # mode, as when several open a new cache together.
+                deadline = time.monotonic() + _BUSY_TIMEOUT_S
+                while True:
+                    try:
+                        self._db.execute("PRAGMA journal_mode=WAL")
+                        break
+                    except sqlite3.OperationalError as exc:
+                        if "locked" not in str(exc) or time.monotonic() > deadline:
+                            raise
+                        time.sleep(0.05)
                 self._db.execute("PRAGMA synchronous=NORMAL")
                 self._db.execute("CREATE TABLE IF NOT EXISTS replies (key TEXT PRIMARY KEY, value TEXT)")
             except OSError as exc:
@@ -245,33 +259,47 @@ class _Completion:
             raise ValueError("choices is empty")
 
 
+LLM_KINDS = ("mock", "http")
+
+
+@dataclass
+class LlmSettings:
+    kind: str = "mock"
+    endpoint: str = ""
+    model: str = ""
+    max_retries: int = 2
+    backoff_s: float = 1.0
+    timeout_s: float = 120.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in LLM_KINDS:
+            raise ConfigError(f"llm.kind must be one of {LLM_KINDS}, got {self.kind!r}")
+        if self.kind == "http" and (not self.endpoint or not self.model):
+            raise ConfigError("llm.kind 'http' requires endpoint and model")
+        require_min("llm.max_retries", self.max_retries, 0)
+        require_timing("llm", self.timeout_s, self.backoff_s)
+
+
 class HttpBackend:
     """OpenAI-compatible /completions endpoint, for generation and scoring.
 
-    Generation POSTs {model, prompt, max_tokens, temperature 0} to
-    <base_url>/completions and reads choices[0].text. Scoring POSTs the
-    concatenated text with echo and logprobs and sums the log-probabilities
-    of the tokens whose span reaches into the continuation. Every reply is
-    read by ingest.decode, so a malformed one raises BackendUnavailable
-    naming the field. The API key is read from LANGREPO_LLM_KEY.
+    Built from LlmSettings of kind "http". Generation POSTs {model, prompt,
+    max_tokens, temperature 0} to <endpoint>/completions and reads
+    choices[0].text. Scoring POSTs the concatenated text with echo and
+    logprobs and sums the log-probabilities of the tokens whose span
+    reaches into the continuation. Every reply is read by ingest.decode, so
+    a malformed one raises BackendUnavailable naming the field. The API key
+    is read from LANGREPO_LLM_KEY.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        max_retries: int = 2,
-        backoff_s: float = 1.0,
-        timeout_s: float = 120.0,
-        session: Session | None = None,
-    ):
+    def __init__(self, settings: LlmSettings, session: Session | None = None):
         from . import transport
 
-        self.url = f"{base_url.rstrip('/')}/completions"
-        self.model = model
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.timeout_s = timeout_s
+        if settings.kind != "http":
+            raise ConfigError(f"HttpBackend needs llm.kind 'http', got {settings.kind!r}")
+        self.settings = settings
+        self.url = f"{settings.endpoint.rstrip('/')}/completions"
+        self.model = settings.model
         self.session = session or transport.new_session()
         self.backend_id = f"http:{self.url}"
 
@@ -286,8 +314,8 @@ class HttpBackend:
         try:
             data = transport.post_json(
                 self.session, self.url, body,
-                key_env=LLM_KEY_ENV, auth_header="Authorization", timeout_s=self.timeout_s,
-                max_retries=self.max_retries, backoff_s=self.backoff_s,
+                key_env=LLM_KEY_ENV, auth_header="Authorization", timeout_s=self.settings.timeout_s,
+                max_retries=self.settings.max_retries, backoff_s=self.settings.backoff_s,
                 label="llm backend", unavailable=BackendUnavailable,
             )
         except transport.HttpStatusError as exc:

@@ -370,12 +370,13 @@ def test_criterion_9_rephrase_parser_robustness(angled_caption_set, angled_embed
 def test_criterion_10_optional_live_integration(tmp_path):
     """Against a live OpenAI-compatible endpoint: the pipeline completes and
     emits a predictions file. No accuracy is asserted."""
-    from langrepo.llm import HttpBackend
+    from langrepo.llm import HttpBackend, LlmSettings
 
-    backend = HttpBackend(
-        base_url=os.environ["LANGREPO_INTEGRATION_URL"],
+    backend = HttpBackend(LlmSettings(
+        kind="http",
+        endpoint=os.environ["LANGREPO_INTEGRATION_URL"],
         model=os.environ.get("LANGREPO_INTEGRATION_MODEL", "mistral"),
-    )
+    ))
     providers = Providers(
         client=LlmClient(backend, cache_dir=tmp_path / "cache"),
         embedder=Embedder(EmbeddingProviderConfig(kind="hashed", dimension=16)),

@@ -27,6 +27,7 @@ from langrepo.llm import (
     GenerationRequest,
     HttpBackend,
     LlmClient,
+    LlmSettings,
     MockBackend,
     ResponseCache,
     ScoreRequest,
@@ -37,12 +38,8 @@ from conftest import settled_thread_count
 
 
 def _fill_cache(directory, indices, start):
-    try:
-        client = LlmClient(MockBackend(), cache_dir=directory)
-    except BaseException:
-        start.abort()  # the other process must not wait for this one
-        raise
     start.wait(timeout=30)
+    client = LlmClient(MockBackend(), cache_dir=directory)
     for i in indices:
         client.generate(req(f"prompt {i}"))
 
@@ -188,8 +185,8 @@ class TestCacheAndLedger:
         assert fresh.ledger.total_calls() == 0
 
     def test_processes_sharing_a_cache_directory(self, tmp_path):
-        # Two processes write overlapping keys into one database at once;
-        # every reply either wrote is then answered from it.
+        # Two processes open one new database together and write overlapping
+        # keys into it at once; every reply either wrote is then answered from it.
         ctx = multiprocessing.get_context("spawn")
         start = ctx.Barrier(2)
         workers = [
@@ -206,6 +203,23 @@ class TestCacheAndLedger:
             assert client.generate(req(f"prompt {i}")) == "A"
         assert client.ledger.total_calls() == 0
         assert client.ledger.snapshot()["cache_hits"] == 90
+
+    def test_opening_a_new_cache_file_while_another_connection_writes(self, tmp_path):
+        # The journal-mode switch waits for the writer as any other
+        # statement does, instead of failing with "database is locked".
+        import sqlite3
+
+        writer = sqlite3.connect(tmp_path / CACHE_FILE, isolation_level=None, check_same_thread=False)
+        writer.execute("BEGIN IMMEDIATE")
+        commit = threading.Timer(0.3, writer.execute, args=("COMMIT",))
+        commit.start()
+        try:
+            cache = ResponseCache(tmp_path)
+        finally:
+            commit.join()
+            writer.close()
+        assert cache._db.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        assert cache.put("k", {"text": "x"}) == {"text": "x"}
 
     @pytest.mark.parametrize("cache_dir", [False, True])
     def test_first_writer_wins(self, tmp_path, cache_dir):
@@ -382,9 +396,8 @@ class _FakeSession:
 def http_backend(responses, **kw):
     kw.setdefault("max_retries", 2)
     kw.setdefault("backoff_s", 0.0)
-    return HttpBackend(
-        "http://llm.test/v1", "test-model", session=_FakeSession(responses), **kw
-    )
+    settings = LlmSettings(kind="http", endpoint="http://llm.test/v1", model="test-model", **kw)
+    return HttpBackend(settings, session=_FakeSession(responses))
 
 
 def text_ok(text):
@@ -516,6 +529,33 @@ class TestHttpBackend:
         backend = http_backend([_FakeResponse(200, {"choices": [{"text": "x"}]})])
         with pytest.raises(ScoringUnsupported):
             backend.score("a", "b")
+
+    def test_configured_settings_reach_the_wire(self, monkeypatch):
+        from langrepo import transport
+        from langrepo.config import AppConfig, make_providers
+
+        timeouts = []
+
+        class TimedSession(_FakeSession):
+            def post(self, url, json=None, headers=None, timeout=None):
+                timeouts.append(timeout)
+                return super().post(url, json=json, headers=headers, timeout=timeout)
+
+        session = TimedSession([text_ok("ok"), _FakeResponse(500), _FakeResponse(500)])
+        monkeypatch.setattr(transport, "new_session", lambda: session)
+        settings = LlmSettings(
+            kind="http", endpoint="http://llm.test/v1", model="test-model", timeout_s=7.5, max_retries=1, backoff_s=0.0
+        )
+        client = make_providers(AppConfig(llm=settings)).client
+        assert client.generate(req("first")) == "ok"
+        with pytest.raises(BackendUnavailable, match="after 2 attempts"):
+            client.generate(req("second"))
+        assert len(session.calls) == 3 and not session.responses
+        assert timeouts == [7.5, 7.5, 7.5]
+
+    def test_refuses_settings_of_another_kind(self):
+        with pytest.raises(ConfigError, match="HttpBackend needs llm.kind 'http', got 'mock'"):
+            HttpBackend(LlmSettings(), session=_FakeSession([]))
 
 
 # Replies that do not fit the completions schema, or whose status is not

@@ -10,7 +10,7 @@ from pathlib import Path
 import requests
 
 from langrepo.embed import EmbeddingProviderConfig, HttpEmbeddingProvider
-from langrepo.llm import HttpBackend
+from langrepo.llm import HttpBackend, LlmSettings
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,7 +61,7 @@ def test_http_clients_without_a_session_get_a_real_one(monkeypatch):
         raise AssertionError("no request may be sent")
 
     monkeypatch.setattr(requests.Session, "request", no_network)
-    backend = HttpBackend("http://llm.test/v1", "test-model")
+    backend = HttpBackend(LlmSettings(kind="http", endpoint="http://llm.test/v1", model="test-model"))
     provider = HttpEmbeddingProvider(
         EmbeddingProviderConfig(kind="http-endpoint", location="http://embed.test/v1")
     )
