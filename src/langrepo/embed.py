@@ -137,12 +137,12 @@ class HashedEmbeddingProvider:
         self.cfg = cfg
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        return np.stack([self._one(t) for t in texts])
-
-    def _one(self, text: str) -> np.ndarray:
-        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
-        # The Generator default_rng(seed) builds, without its argument checks.
-        return np.random.Generator(np.random.PCG64(seed)).standard_normal(self.cfg.dimension)
+        matrix = np.empty((len(texts), self.cfg.dimension))
+        for row, text in zip(matrix, texts):
+            seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+            # The Generator default_rng(seed) builds, without its argument checks.
+            np.random.Generator(np.random.PCG64(seed)).standard_normal(out=row)
+        return matrix
 
 
 class Embedder:

@@ -4,7 +4,8 @@ One client fronts an OpenAI-compatible /completions endpoint or a
 deterministic mock, adding retries, a content-addressed response cache, a
 per-purpose call ledger, the one loop that re-asks until a reply parses,
 and one scheduler that bounds backend requests in flight and runs the
-fan-out helper (map) every caller goes through, at any parallelism.
+fan-out helper (map) every caller goes through, oldest item first and at
+any parallelism, each task keeping its run place through its calls.
 The cache persists to one SQLite file when a directory is configured,
 which makes repository builds resumable and lets repeated runs issue zero
 new backend calls.
@@ -360,21 +361,27 @@ class _Scheduler:
     Queued tasks wait in a heap by key, so a free run place always goes to
     the smallest key: the oldest unfinished item's work runs first. Each
     task that may start gets a place and a new thread that runs just that
-    task, gives the place back and exits. A thread gives its place up while
-    it waits on its own map or holds a backend slot, and takes it back when
-    that ends even if the places are then overdrawn; no task starts until a
-    place is free. A slot is taken while still holding the place, so queued
-    tasks never pile up as threads that wait for slots. Only a thread
-    waiting in map starts threads, so no thread about to call the backend
-    starts one: that can take a millisecond, which would delay the call.
+    task, gives the place back and exits. No task starts while another's
+    thread has yet to begin, so a task whose thread runs late still queues
+    its map's items ahead of later keys. A thread keeps its place through
+    a backend call, so tasks that wait for slots cannot fill the places
+    that smaller queued keys need; one more task may start only while every
+    place is held by a call, to take the next free slot. A thread gives
+    its place up while it waits on its own map and takes it back after,
+    even if the places are then overdrawn. Only a thread waiting in map
+    starts threads, so no thread about to call the backend starts one:
+    that can take a millisecond, which would delay the call.
     """
 
     def __init__(self, size: int):
+        self._size = size
         self._cond = threading.Condition()
         self._seq = itertools.count()
         self._queue: list[tuple] = []
         self._free_places = size
         self._free_slots = size
+        self._calls = 0  # slots held by placed threads
+        self._starting = False  # a task's thread has yet to begin it
         self._slot_waiters: list[tuple[tuple[int, ...], int, threading.Event]] = []
         self._local = threading.local()
 
@@ -393,12 +400,13 @@ class _Scheduler:
         while True:
             with self._cond:
                 self._cond.wait_for(lambda: not batch.remaining or self._startable())
-                ready = list(iter(self._pop_startable, None))
-                if not ready:
+                if not self._startable():
                     self._free_places -= placed
                     break
-            for task in ready:
-                threading.Thread(target=self._run_task, args=(task,), daemon=True).start()
+                self._free_places -= 1
+                self._starting = True
+                task = heapq.heappop(self._queue)
+            threading.Thread(target=self._run_task, args=(task,), daemon=True).start()
         for error in batch.errors:
             if error is not None:
                 raise error
@@ -419,7 +427,7 @@ class _Scheduler:
             granted.wait()
         if placed:
             with self._cond:
-                self._free_places += 1
+                self._calls += 1
                 if self._startable():
                     self._cond.notify_all()
         try:
@@ -430,21 +438,19 @@ class _Scheduler:
                     heapq.heappop(self._slot_waiters)[2].set()
                 else:
                     self._free_slots += 1
-                self._free_places -= placed
+                self._calls -= placed
 
     def _startable(self) -> bool:
-        return bool(self._queue) and self._free_places > 0
-
-    def _pop_startable(self) -> tuple | None:
-        """The smallest queued task, taking a place for it, if one is free."""
-        if not self._startable():
-            return None
-        self._free_places -= 1
-        return heapq.heappop(self._queue)
+        free = self._free_places + (self._calls == self._size)
+        return bool(self._queue) and not self._starting and free > 0
 
     def _run_task(self, task: tuple) -> None:
         """Run task on this new thread, which holds its place, then give the place back."""
         self._local.placed = True
+        with self._cond:
+            self._starting = False
+            if self._startable():
+                self._cond.notify_all()
         key, _, batch, index, ctx, fn, item = task
         ctx.run(_TASK_KEY.set, key)
         try:
@@ -491,9 +497,10 @@ class LlmClient:
         Work runs oldest item first: an item's key is its path of indices
         through nested maps, and a free run place goes to the smallest
         queued key, so a question's option scores finish before the next
-        question starts. There are max_parallel run places; a thread holds
-        none while it holds a backend slot or waits on its own map, so slots
-        never idle behind CPU work. A map over no items starts nothing.
+        question starts. There are max_parallel run places and as many
+        backend slots; a thread keeps its place through a call and holds
+        none while it waits on its own map, and one more task starts while
+        every place is held by a call. A map over no items starts nothing.
         """
         items = list(items)
         return self._scheduler.map(fn, items) if items else []

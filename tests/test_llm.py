@@ -11,6 +11,8 @@ from contextlib import contextmanager
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langrepo.errors import (
     BackendUnavailable,
@@ -811,6 +813,24 @@ class SleepyBackend(MockBackend):
                 self.finished += 1
 
 
+class HeldBackend(MockBackend):
+    """Holds every completion open until release is set; counts calls in flight."""
+
+    def __init__(self):
+        super().__init__()
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+        self.inflight = 0
+
+    def complete(self, req):
+        with self._lock:
+            self.inflight += 1
+        self.release.wait(10)
+        with self._lock:
+            self.inflight -= 1
+        return req.prompt
+
+
 class ThreadPeak:
     """Samples threading.active_count(), less its own thread, every millisecond."""
 
@@ -874,6 +894,13 @@ def record_grant_order(client):
     return order
 
 
+def wait_until(condition, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, f"not reached in {timeout_s} s"
+        time.sleep(0.001)
+
+
 def run_within(fn, timeout_s=30.0):
     """fn() on its own thread, failing if it runs longer than timeout_s."""
     outcome = {}
@@ -912,11 +939,37 @@ class TestScheduler:
         with ThreadPeak() as threads:
             results = run_within(lambda: self.nested_map(client))
         assert results == [[f"{i}-{k}" for k in range(self.INNER)] for i in range(self.OUTER)]
-        # Per run place: a running or slot-waiting task, a slot holder, and
-        # an outer item waiting on its map; plus the threads already there.
+        # Up to P placed tasks, which keep their places through their calls,
+        # one more while all P call, and outer items waiting on their maps,
+        # which hold none; plus the threads already there.
         assert threads.peak <= 3 * self.P + before + 1  # + run_within's thread
         assert backend.peak <= self.P
         assert settled_thread_count(before) == before
+
+    def test_one_task_beyond_the_calls_waits_for_a_slot(self):
+        # A task keeps its run place through its call, so with every call
+        # held open only one more task starts, to take the next free slot;
+        # the others stay queued by key instead of waiting placed for slots.
+        backend = HeldBackend()
+        client = LlmClient(backend, max_parallel=self.P)
+        started = []
+
+        def leaf(i):
+            started.append(i)
+            return client.generate(req(str(i)))
+
+        results = []
+        runner = threading.Thread(target=lambda: results.extend(client.map(leaf, range(3 * self.P))))
+        runner.start()
+        try:
+            wait_until(lambda: backend.inflight == self.P and len(started) > self.P)
+            time.sleep(0.1)
+            assert sorted(started) == list(range(self.P + 1))
+            assert backend.inflight == self.P
+        finally:
+            backend.release.set()
+            runner.join(10)
+        assert results == [str(i) for i in range(3 * self.P)]
 
     def test_oldest_outer_item_runs_first(self):
         client = LlmClient(SleepyBackend(), max_parallel=self.P)
@@ -927,6 +980,23 @@ class TestScheduler:
             starts = [n for n, o in enumerate(outer) if o == i]
             assert len(starts) == self.INNER
             assert starts[-1] - starts[0] < self.INNER + self.P, outer
+
+    def test_an_outer_item_whose_thread_runs_late_still_runs_first(self):
+        # No task starts while another's thread has yet to begin, so outer
+        # item 1 cannot start, and take the slots, before item 0's thread
+        # has queued item 0's inner items.
+        client = LlmClient(SleepyBackend(), max_parallel=self.P)
+        run_task = client._scheduler._run_task
+
+        def late_for_outer_item_0(task):
+            if task[0] == (0,):
+                time.sleep(0.05)
+            run_task(task)
+
+        client._scheduler._run_task = late_for_outer_item_0
+        granted = record_grant_order(client)
+        run_within(lambda: self.nested_map(client, outer=2))
+        assert [key[0] for key in granted] == [0] * self.INNER + [1] * self.INNER
 
     def test_nested_failure_raises_the_first_by_position_after_every_item(self):
         backend = SleepyBackend(fail_on={"2-3", "2-4", "5-0"})
@@ -959,6 +1029,45 @@ class TestScheduler:
         assert results == [expected] * 5
         assert backend.peak <= self.P
         assert settled_thread_count(before) == before
+
+
+def map_trees(depth, min_size=0):
+    """Nested maps up to depth deep, each over up to 6 children. A leaf is
+    True when it calls the backend after its own work, False when it only
+    works."""
+    children = st.booleans() if depth == 1 else st.booleans() | map_trees(depth - 1)
+    return st.lists(children, min_size=min_size, max_size=6)
+
+
+@settings(deadline=None, max_examples=100)
+@given(tree=map_trees(3, min_size=1), p=st.integers(1, 4))
+def test_nested_maps_of_any_shape(tree, p):
+    # A task starts on a free run place, or as the one extra while every
+    # place is held by a call, and a leaf works only before its call; so
+    # at most p leaves work at once, and p call, however the maps nest.
+    backend = SleepyBackend(delay_s=0.001)
+    client = LlmClient(backend, max_parallel=p)
+    lock, working, peak = threading.Lock(), [0], [0]
+
+    def run(node, path):
+        if not isinstance(node, bool):
+            return client.map(lambda child: run(child[1], f"{path}.{child[0]}"), enumerate(node))
+        with lock:
+            working[0] += 1
+            peak[0] = max(peak[0], working[0])
+        time.sleep(0.0002)
+        with lock:
+            working[0] -= 1
+        return client.generate(req(path)) if node else path
+
+    def expected(node, path):
+        return path if isinstance(node, bool) else [expected(c, f"{path}.{i}") for i, c in enumerate(node)]
+
+    before = threading.active_count()
+    assert run_within(lambda: run(tree, "t")) == expected(tree, "t")
+    assert backend.peak <= p
+    assert peak[0] <= p
+    assert settled_thread_count(before) == before
 
 
 def test_ledger_snapshot_is_copy():
